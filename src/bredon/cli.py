@@ -152,7 +152,7 @@ def _run_command(args) -> int:
 
     if args.command == "cohomology":
         run = run_pullback(spec)
-        _check_strict(spec, run)
+        _check_strict(run)
         payload["cohomology"] = _table_json(run.final)
         payload["certificates"] = _certificates_json(run)
         lines.append("Bredon cohomology of the pullback:")
@@ -163,7 +163,7 @@ def _run_command(args) -> int:
 
     if args.command == "ktheory":
         report = full_report(spec)
-        _check_strict(spec, report.run)
+        _check_strict(report.run)
         payload.update(_report_json(report))
         _render_report_human(report, lines)
         _emit(payload, lines, fmt, output)
@@ -202,25 +202,11 @@ def _run_command(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _check_strict(spec, run: PullbackRun) -> None:
+def _check_strict(run: PullbackRun) -> None:
     """Enforce requested certificates for the computing commands."""
-    for rec in run.folds:
-        if rec.e2 is not None and not rec.collapse_ok:
-            p, q, g = rec.collapse_failures[0]
-            raise PullbackError(
-                f"collapse certificate failed at fold {rec.index} "
-                f"(+{rec.block_name}): row p={p}, q={q} carries {g}")
-        if rec.oracle is not None and not rec.oracle.ok:
-            d, t, c = rec.oracle.mismatches()[0]
-            raise PullbackError(
-                f"product-complex oracle failed at fold {rec.index} "
-                f"(+{rec.block_name}), degree {d}: tensor {t} vs complex {c}")
-    for cmp in run.pair_oracles:
-        if not cmp.ok:
-            d, t, c = cmp.mismatches()[0]
-            raise PullbackError(
-                f"oracle failed for {cmp.label}, degree {d}: "
-                f"tensor {t} vs complex {c}")
+    failures = run.failures()
+    if failures:
+        raise failures[0]
 
 
 def _report_json(report: FullReport) -> dict:

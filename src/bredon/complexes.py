@@ -33,7 +33,6 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     kernel_lattice,
-    smith_with_inverse,
     subquotient_with_action,
 )
 from .repring import (
@@ -68,35 +67,39 @@ class GcwBlock:
 
 
 class CochainComplex:
-    """A bounded complex of presented modules with equivariant maps."""
+    """The cochain complex of a block: one restriction module per cell.
 
-    def __init__(self, point_group: PointGroup, modules: Sequence[FpModule],
-                 maps: Sequence[ModuleMap]):
-        if len(maps) != max(len(modules) - 1, 0):
-            raise ValueError("need exactly one map per consecutive degree pair")
-        self.point_group = point_group
-        self.modules = list(modules)
-        self.maps = list(maps)
+    Keeps the block it was built from; ``coordinates[d]`` is the
+    closed-form ``(P, S, rank)`` of :func:`_free_coordinates` for degree d.
+    Build it through :func:`bredon_cochain_complex`, which validates.
+    """
+
+    def __init__(self, block: GcwBlock):
+        n = block.point_group.order
+        self.block = block
+        self.point_group = block.point_group
+        self.modules = [block_module(block, d)
+                        for d in range(block.dimension + 1)]
+        self.maps = [ModuleMap(self.modules[d], self.modules[d + 1],
+                               block.differentials[d], check=False)
+                     for d in range(block.dimension)]
+        self.coordinates = [_free_coordinates(orders, n)
+                            for orders in block.cells]
 
     @property
     def top(self) -> int:
         return len(self.modules) - 1
 
-    def module(self, degree: int) -> Optional[FpModule]:
-        if 0 <= degree <= self.top:
-            return self.modules[degree]
-        return None
-
     def flattened_ranks(self) -> list:
-        return [m.flatten().free_rank for m in self.modules]
+        return [sum(orders) for orders in self.block.cells]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in enumerate(self.flattened_ranks()))
 
     def check_d_squared(self) -> None:
         for d in range(len(self.maps) - 1):
-            composite = self.maps[d + 1].compose(self.maps[d])
-            if not composite.matrix.is_zero() and not composite.is_zero_map():
+            P = self.coordinates[d + 2][0]
+            if not (P * self.maps[d + 1].matrix * self.maps[d].matrix).is_zero():
                 raise ValueError(f"d^2 is nonzero between degrees {d} and {d + 2}")
 
 
@@ -119,9 +122,6 @@ class CohomologyTable:
 
     def degrees(self) -> list:
         return sorted(self.entries)
-
-    def nonzero_degrees(self) -> list:
-        return [d for d in self.degrees() if not self.entries[d].group.is_trivial]
 
     def group(self, degree: int) -> FgAbGroup:
         entry = self.entries.get(degree)
@@ -202,14 +202,9 @@ def block_module(block: GcwBlock, degree: int) -> FpModule:
 
 def bredon_cochain_complex(block: GcwBlock) -> CochainComplex:
     """Assemble and validate the cochain complex of a block."""
-    report = validate_block(block)
+    report, complex_ = _build(block)
     if not report.ok:
         raise ValueError("invalid block data: " + "; ".join(report.findings))
-    modules = [block_module(block, d) for d in range(block.dimension + 1)]
-    maps = [ModuleMap(modules[d], modules[d + 1], block.differentials[d])
-            for d in range(block.dimension)]
-    complex_ = CochainComplex(block.point_group, modules, maps)
-    complex_.check_d_squared()
     return complex_
 
 
@@ -226,66 +221,83 @@ class BlockReport:
 
 
 def validate_block(block: GcwBlock) -> BlockReport:
-    """Check divisor conditions, map shapes, equivariance and d^2 = 0."""
+    """Check divisors, shapes, equivariance, relations and d^2 = 0."""
+    return _build(block)[0]
+
+
+def _build(block: GcwBlock):
+    """The validation report and, for a clean block, its cochain complex.
+
+    Given equivariance, a map out of R/(eta^m - 1) is well defined exactly
+    when the projected columns t = 0 and t = m of each cell agree: every
+    relation row is an eta-shift of e_m - e_0.
+    """
     report = BlockReport(block.name)
     n = block.point_group.order
     if len(block.cells) != block.dimension + 1:
         report.findings.append(
             f"expected cell lists for degrees 0..{block.dimension}")
-        return report
+        return report, None
     for d, orders in enumerate(block.cells):
         for m in orders:
             if m < 1 or n % m:
                 report.findings.append(
                     f"degree {d}: isotropy order {m} does not divide {n}")
     if report.findings:
-        return report
+        return report, None
     if len(block.differentials) != block.dimension:
         report.findings.append(
             f"expected {block.dimension} differentials, "
             f"got {len(block.differentials)}")
-        return report
-    modules = [block_module(block, d) for d in range(block.dimension + 1)]
-    maps = []
-    for d in range(block.dimension):
-        mat = block.differentials[d]
-        if (mat.rows, mat.cols) != (modules[d + 1].flat_dim, modules[d].flat_dim):
+        return report, None
+    for d, mat in enumerate(block.differentials):
+        shape = (len(block.cells[d + 1]) * n, len(block.cells[d]) * n)
+        if (mat.rows, mat.cols) != shape:
             report.findings.append(
-                f"degree {d}: differential is {mat.rows}x{mat.cols}, expected "
-                f"{modules[d + 1].flat_dim}x{modules[d].flat_dim}")
-            continue
+                f"degree {d}: differential is {mat.rows}x{mat.cols}, "
+                f"expected {shape[0]}x{shape[1]}")
+    if report.findings:
+        return report, None
+    complex_ = CochainComplex(block)
+    for d, mm in enumerate(complex_.maps):
         try:
-            maps.append(ModuleMap(modules[d], modules[d + 1], mat))
+            mm._check_equivariance()
         except ValueError as exc:
             report.findings.append(f"degree {d}: {exc}")
-    if report.findings:
-        return report
-    for d in range(len(maps) - 1):
-        composite = maps[d + 1].compose(maps[d])
-        if not composite.matrix.is_zero() and not composite.is_zero_map():
+            continue
+        image = complex_.coordinates[d + 1][0] * mm.matrix
+        if any(image.column(c * n) != image.column(c * n + m)
+               for c, m in enumerate(block.cells[d]) if m < n):
             report.findings.append(
-                f"d^2 is nonzero between degrees {d} and {d + 2}")
-    return report
+                f"degree {d}: map does not preserve relations")
+    if not report.findings:
+        try:
+            complex_.check_d_squared()
+        except ValueError as exc:
+            report.findings.append(str(exc))
+    return report, (complex_ if report.ok else None)
 
 
-def _free_coordinates(module: FpModule):
-    """Projection/section pair identifying the flatten with Z^rank.
+def _free_coordinates(orders: Sequence[int], n: int):
+    """Projection/section pair identifying a cochain module's flatten with Z^rank.
 
-    Requires the flattened group to be free; every cochain module built
-    from restriction modules and their tensor products is.
+    A cell of isotropy order m has flat coordinates t = 0..n-1 and relation
+    rows e_(t+m) - e_t, so t -> t mod m projects its n coordinates onto
+    Z^m with exactly the relation lattice as kernel, and the first m
+    coordinates are a section.
     """
-    dim = module.flat_dim
-    rel = module.relation_columns()
-    if rel.cols == 0:
-        ident = IntMatrix.identity(dim)
-        return ident, ident, dim
-    diag, U, Uinv = smith_with_inverse(rel)
-    r = sum(1 for d in diag if d)
-    if any(d not in (0, 1) for d in diag):
-        raise ValueError("cochain module with torsion is unsupported")
-    P = U.submatrix(r, dim, 0, dim)
-    S = Uinv.submatrix(0, dim, r, dim)
-    return P, S, dim - r
+    rank = sum(orders)
+    dim = len(orders) * n
+    P = [[0] * dim for _ in range(rank)]
+    S = [[0] * rank for _ in range(dim)]
+    offset = 0
+    for c, m in enumerate(orders):
+        for t in range(n):
+            P[offset + t % m][c * n + t] = 1
+        for t in range(m):
+            S[c * n + t][offset + t] = 1
+        offset += m
+    return IntMatrix(rank, dim, P), IntMatrix(dim, rank, S), rank
 
 
 def cohomology_table(C: CochainComplex) -> CohomologyTable:
@@ -296,7 +308,7 @@ def cohomology_table(C: CochainComplex) -> CohomologyTable:
     and each degree becomes a kernel-modulo-image computation over Z.
     """
     top = C.top
-    coords = [_free_coordinates(m) for m in C.modules]
+    coords = C.coordinates
     freed_maps = []
     for d in range(top):
         P_next = coords[d + 1][0]

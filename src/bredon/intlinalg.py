@@ -336,11 +336,6 @@ class Lattice:
     def rank(self) -> int:
         return self.basis.cols
 
-    def validate(self) -> None:
-        diag = smith_diagonal(self.basis)
-        if sum(1 for d in diag if d) != self.basis.cols:
-            raise ValueError("basis columns are not Z-independent")
-
 
 def kernel_lattice(A: IntMatrix) -> Lattice:
     """Basis of the integer kernel {x : A x = 0}; always saturated."""

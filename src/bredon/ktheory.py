@@ -46,12 +46,16 @@ def ahss_collapse(H: CohomologyTable) -> KTheoryResult:
     that case K^0 and K^1 are the even and odd sums.  Otherwise the sums
     are reported with ``collapsed = False`` as bounds only.
     """
-    evens = [H.group(d) for d in H.degrees() if d % 2 == 0]
-    odds = [H.group(d) for d in H.degrees() if d % 2 == 1]
-    k0 = evens[0].direct_sum(*evens[1:]) if evens else FgAbGroup.trivial()
-    k1 = odds[0].direct_sum(*odds[1:]) if odds else FgAbGroup.trivial()
-    return KTheoryResult(k0, k1, collapsed=k1.is_trivial and all(
-        g.is_trivial for g in odds))
+    k0, k1 = _even_odd_sums({d: H.group(d) for d in H.degrees()})
+    return KTheoryResult(k0, k1, collapsed=k1.is_trivial)
+
+
+def _even_odd_sums(groups: dict):
+    """The direct sums of the even-degree and of the odd-degree groups."""
+    sums = [FgAbGroup.trivial(), FgAbGroup.trivial()]
+    for d, g in sorted(groups.items()):
+        sums[d % 2] = sums[d % 2].direct_sum(g)
+    return sums
 
 
 def uct_dualize(H: CohomologyTable) -> dict:
@@ -76,12 +80,8 @@ def uct_dualize(H: CohomologyTable) -> dict:
 
 def homology_k_groups(homology: dict) -> KTheoryResult:
     """K-homology sums from a Bredon homology table (homological page)."""
-    evens = [g for d, g in sorted(homology.items()) if d % 2 == 0]
-    odds = [g for d, g in sorted(homology.items()) if d % 2 == 1]
-    negatives = [d for d in homology if d < 0]
-    k0 = evens[0].direct_sum(*evens[1:]) if evens else FgAbGroup.trivial()
-    k1 = odds[0].direct_sum(*odds[1:]) if odds else FgAbGroup.trivial()
-    collapsed = k1.is_trivial and not negatives
+    k0, k1 = _even_odd_sums(homology)
+    collapsed = k1.is_trivial and all(d >= 0 for d in homology)
     return KTheoryResult(k0, k1, collapsed=collapsed)
 
 
@@ -126,21 +126,6 @@ def full_report(spec: PullbackSpec) -> FullReport:
     if not kh.collapsed:
         notes.append("homology is not concentrated in even nonnegative "
                      "degrees: K-homology sums are second-page bounds")
-    for record in run.folds:
-        if record.e2 is not None and not record.collapse_ok:
-            p, q, g = record.collapse_failures[0]
-            notes.append(f"fold {record.index} (+{record.block_name}): "
-                         f"derived row p={p} nonzero at q={q} ({g}); the "
-                         "tensor fold is not certified by collapse")
-        if record.oracle is not None and not record.oracle.ok:
-            d, t, c = record.oracle.mismatches()[0]
-            notes.append(f"fold {record.index} (+{record.block_name}): "
-                         f"product-complex oracle disagrees in degree {d}: "
-                         f"tensor {t} vs complex {c}")
-    for comparison in run.pair_oracles:
-        if not comparison.ok:
-            d, t, c = comparison.mismatches()[0]
-            notes.append(f"{comparison.label}: oracle disagrees in degree "
-                         f"{d}: tensor {t} vs complex {c}")
+    notes.extend(str(failure) for failure in run.failures())
     return FullReport(spec, run, H, kt, homology, kh,
                       (BAUM_CONNES_ASSUMPTION,), notes)

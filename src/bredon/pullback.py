@@ -16,19 +16,20 @@ held and what did not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Optional
 
 from .complexes import (
     CochainComplex,
     CohomologyEntry,
     CohomologyTable,
+    GcwBlock,
     bredon_cochain_complex,
     cohomology_table,
 )
 from .intlinalg import FgAbGroup, IntMatrix
 from .repring import (
     FpModule,
-    ModuleMap,
     PointGroup,
     direct_sum_modules,
     tensor_map_left,
@@ -175,72 +176,62 @@ def em_e2(HX: CohomologyTable, HY: CohomologyTable, p_max: int) -> BigradedTable
     return BigradedTable(entries)
 
 
-def product_complex(CX: CochainComplex, CY: CochainComplex) -> CochainComplex:
-    """Total complex of the degreewise tensor of two cochain complexes.
+def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
+    """The Eilenberg-Zilber product of two blocks, itself a block.
 
-    Degree n is the direct sum over i + j = n of the tensor of the
-    degree-i and degree-j modules; the differential uses the sign rule
-    d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.  The squared differential
-    is verified to vanish.
+    Degree-t cells are the pairs of a degree-i cell of X and a degree-j
+    cell of Y with i + j = t, ordered by i, then the X cell, then the Y
+    cell.  A pair's isotropy order is gcd(a, b), because
+    R/(eta^a - 1) tensor R/(eta^b - 1) = R/(eta^gcd(a, b) - 1).  The
+    differential follows d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
     """
-    if CX.point_group != CY.point_group:
-        raise ValueError("point group mismatch in product complex")
-    group = CX.point_group
-    topX, topY = CX.top, CY.top
-    top = topX + topY
-
-    pieces = {}
-    piece_lists = []
-    for t in range(top + 1):
-        lst = []
-        for i in range(max(0, t - topY), min(topX, t) + 1):
-            j = t - i
-            tensor = tensor_over_ring(CX.modules[i], CY.modules[j])
-            pieces[(i, j)] = tensor
-            lst.append((i, j))
-        piece_lists.append(lst)
-
-    modules = []
+    if X.point_group != Y.point_group:
+        raise ValueError("point group mismatch in product block")
+    n = X.point_group.order
+    top = X.dimension + Y.dimension
+    pairs = [[(i, t - i) for i in range(max(0, t - Y.dimension),
+                                        min(X.dimension, t) + 1)]
+             for t in range(top + 1)]
+    cells = tuple(tuple(gcd(a, b) for i, j in pairs[t]
+                        for a in X.cells[i] for b in Y.cells[j])
+                  for t in range(top + 1))
     offsets = []
     for t in range(top + 1):
-        offs = {}
-        pos = 0
-        for key in piece_lists[t]:
-            offs[key] = pos
-            pos += pieces[key].flat_dim
+        offs, pos = {}, 0
+        for i, j in pairs[t]:
+            offs[i, j] = pos
+            pos += len(X.cells[i]) * len(Y.cells[j]) * n
         offsets.append(offs)
-        mods = [pieces[key] for key in piece_lists[t]]
-        modules.append(direct_sum_modules(mods) if mods
-                       else FpModule(group, 0, ()))
 
-    maps = []
+    differentials = []
     for t in range(top):
-        rows = [[0] * modules[t].flat_dim for _ in range(modules[t + 1].flat_dim)]
+        rows = [[0] * (len(cells[t]) * n) for _ in range(len(cells[t + 1]) * n)]
 
-        def _install(block: IntMatrix, row_off: int, col_off: int):
-            for r, row in enumerate(block.data):
+        def install(piece: IntMatrix, row_off: int, col_off: int):
+            for r, row in enumerate(piece.data):
                 target = rows[row_off + r]
                 for c, val in enumerate(row):
                     if val:
                         target[col_off + c] = val
 
-        for (i, j) in piece_lists[t]:
-            col_off = offsets[t][(i, j)]
-            if i < topX:
-                block = tensor_map_left(CX.maps[i], CY.modules[j])
-                _install(block, offsets[t + 1][(i + 1, j)], col_off)
-            if j < topY:
-                sign = -1 if i % 2 else 1
-                block = tensor_map_right(CX.modules[i], CY.maps[j], sign)
-                _install(block, offsets[t + 1][(i, j + 1)], col_off)
-        mat = IntMatrix(modules[t + 1].flat_dim, modules[t].flat_dim, rows)
-        mm = ModuleMap(modules[t], modules[t + 1], mat, check=False)
-        mm._check_equivariance()
-        maps.append(mm)
+        for i, j in pairs[t]:
+            col_off = offsets[t][i, j]
+            if i < X.dimension:
+                install(tensor_map_left(X.differentials[i], len(Y.cells[j]), n),
+                        offsets[t + 1][i + 1, j], col_off)
+            if j < Y.dimension:
+                install(tensor_map_right(Y.differentials[j], len(X.cells[i]), n,
+                                         -1 if i % 2 else 1),
+                        offsets[t + 1][i, j + 1], col_off)
+        differentials.append(
+            IntMatrix(len(cells[t + 1]) * n, len(cells[t]) * n, rows))
+    return GcwBlock(f"{X.name}*{Y.name}", X.point_group, top, cells,
+                    tuple(differentials))
 
-    out = CochainComplex(group, modules, maps)
-    out.check_d_squared()
-    return out
+
+def product_complex(CX: CochainComplex, CY: CochainComplex) -> CochainComplex:
+    """Cochain complex of the product of the blocks behind CX and CY."""
+    return bredon_cochain_complex(product_block(CX.block, CY.block))
 
 
 @dataclass
@@ -312,6 +303,28 @@ class PullbackRun:
     def all_collapse_ok(self) -> bool:
         return all(f.collapse_ok for f in self.folds)
 
+    def failures(self) -> list:
+        """One error per failed certificate: folds in order, then pairs."""
+        out = []
+        for record in self.folds:
+            if record.collapse_failures:
+                p, q, g = record.collapse_failures[0]
+                out.append(CollapseFailureError(
+                    f"fold {record.index} (+{record.block_name}): collapse "
+                    f"certificate failed: derived row p={p} is nonzero at "
+                    f"q={q} with value {g}"))
+            if record.oracle is not None and not record.oracle.ok:
+                out.append(_oracle_failure(record.oracle))
+        out.extend(_oracle_failure(c) for c in self.pair_oracles if not c.ok)
+        return out
+
+
+def _oracle_failure(comparison: OracleComparison) -> OracleMismatchError:
+    d, t, c = comparison.mismatches()[0]
+    return OracleMismatchError(
+        f"{comparison.label}: product-complex oracle failed in degree {d}: "
+        f"tensor {t} vs complex {c}")
+
 
 def run_pullback(spec: PullbackSpec) -> PullbackRun:
     """Run the full fold, collecting every requested certificate.
@@ -358,21 +371,7 @@ def compute_pullback_cohomology(spec: PullbackSpec) -> CohomologyTable:
     naming the offending fold when a requested check does not hold.
     """
     run = run_pullback(spec)
-    for record in run.folds:
-        if record.collapse_failures:
-            p, q, g = record.collapse_failures[0]
-            raise CollapseFailureError(
-                f"fold {record.index} (+{record.block_name}): derived row "
-                f"p={p} is nonzero at q={q} with value {g}")
-        if record.oracle is not None and not record.oracle.ok:
-            d, t, c = record.oracle.mismatches()[0]
-            raise OracleMismatchError(
-                f"fold {record.index} (+{record.block_name}): degree {d} "
-                f"tensor fold gives {t} but the product complex gives {c}")
-    for comparison in run.pair_oracles:
-        if not comparison.ok:
-            d, t, c = comparison.mismatches()[0]
-            raise OracleMismatchError(
-                f"{comparison.label}: degree {d} tensor gives {t} but the "
-                f"product complex gives {c}")
+    failures = run.failures()
+    if failures:
+        raise failures[0]
     return run.final

@@ -386,38 +386,43 @@ def _shift_vector(vec: Sequence[int], ngens: int, n: int) -> list:
     return out
 
 
-def tensor_map_left(f: ModuleMap, N: FpModule) -> IntMatrix:
-    """Flattened matrix of f tensor id on (source x N) -> (target x N)."""
-    n = f.source.group.order
-    gA, gB, gN = f.source.ngens, f.target.ngens, N.ngens
-    rows = [[0] * (gA * gN * n) for _ in range(gB * gN * n)]
+def tensor_map_left(matrix: IntMatrix, ngens: int, n: int) -> IntMatrix:
+    """Flattened matrix of f tensor id_N.
+
+    ``matrix`` is the flat matrix of f and N has ``ngens`` generators.
+    """
+    gA, gB = matrix.cols // n, matrix.rows // n
+    rows = [[0] * (gA * ngens * n) for _ in range(gB * ngens * n)]
     for i in range(gA):
-        base_col = f.matrix.column(i * n)
+        base_col = matrix.column(i * n)
         entries = [(c, u, val) for c in range(gB) for u in range(n)
                    if (val := base_col[c * n + u])]
-        for j in range(gN):
+        for j in range(ngens):
             for s in range(n):
-                col = (i * gN + j) * n + s
+                col = (i * ngens + j) * n + s
                 for c, u, val in entries:
-                    rows[(c * gN + j) * n + (u + s) % n][col] = val
-    return IntMatrix(gB * gN * n, gA * gN * n, rows)
+                    rows[(c * ngens + j) * n + (u + s) % n][col] = val
+    return IntMatrix(gB * ngens * n, gA * ngens * n, rows)
 
 
-def tensor_map_right(M: FpModule, g: ModuleMap, sign: int = 1) -> IntMatrix:
-    """Flattened matrix of (sign * id tensor g) on (M x source) -> (M x target)."""
-    n = g.source.group.order
-    gM, gC, gD = M.ngens, g.source.ngens, g.target.ngens
-    rows = [[0] * (gM * gC * n) for _ in range(gM * gD * n)]
+def tensor_map_right(matrix: IntMatrix, ngens: int, n: int,
+                     sign: int = 1) -> IntMatrix:
+    """Flattened matrix of sign * (id_M tensor g).
+
+    ``matrix`` is the flat matrix of g and M has ``ngens`` generators.
+    """
+    gC, gD = matrix.cols // n, matrix.rows // n
+    rows = [[0] * (ngens * gC * n) for _ in range(ngens * gD * n)]
     for j in range(gC):
-        base_col = g.matrix.column(j * n)
+        base_col = matrix.column(j * n)
         entries = [(d, u, val) for d in range(gD) for u in range(n)
                    if (val := base_col[d * n + u])]
-        for i in range(gM):
+        for i in range(ngens):
             for s in range(n):
                 col = (i * gC + j) * n + s
                 for d, u, val in entries:
                     rows[(i * gD + d) * n + (u + s) % n][col] = sign * val
-    return IntMatrix(gM * gD * n, gM * gC * n, rows)
+    return IntMatrix(ngens * gD * n, ngens * gC * n, rows)
 
 
 @dataclass(frozen=True)
@@ -441,8 +446,10 @@ class LatticeModule:
 def present_lattice(L: LatticeModule):
     """Present a lattice-with-automorphism as an FpModule.
 
-    Generators are chosen greedily from the standard basis, lowest index
-    first, skipping vectors already in the ring span of earlier choices.
+    Generators are chosen greedily from the standard basis, skipping
+    vectors already in the ring span of earlier choices.  Candidates are
+    tried in order of the Z-rank of their eta-orbit, largest first, ties
+    by lowest index, which keeps the presentation small.
     Relations are a generating set of the kernel of the evaluation map,
     selected greedily from its kernel lattice by the same rule.  Returns
     ``(module, evaluation)`` where ``evaluation`` sends flattened module
@@ -458,9 +465,15 @@ def present_lattice(L: LatticeModule):
     for _ in range(n - 1):
         powers.append(L.action * powers[-1])
 
+    def orbit_rank(j: int) -> int:
+        orbit = RowEchelonLattice(r)
+        for power in powers:
+            orbit.add(power.column(j))
+        return orbit.rank
+
     span = RowEchelonLattice(r)
     chosen = []
-    for j in range(r):
+    for j in sorted(range(r), key=lambda j: (-orbit_rank(j), j)):
         e = [0] * r
         e[j] = 1
         if span.contains(e):
@@ -613,10 +626,6 @@ def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     maps = free_resolution_maps(M, p_max + 1)
     modules = [tensor_over_ring(free_module(M.group, step.source.ngens), N)
                for step in maps]
-    matrices = [None]
-    for step in maps[1:]:
-        free_src = free_module(M.group, step.source.ngens)
-        fmap = ModuleMap(free_src, free_module(M.group, step.target.ngens),
-                         step.matrix, check=False)
-        matrices.append(tensor_map_left(fmap, N))
+    matrices = [None] + [tensor_map_left(step.matrix, N.ngens, M.group.order)
+                         for step in maps[1:]]
     return homology_of_presented_complex(modules, matrices)

@@ -1,11 +1,33 @@
 import pytest
 
 from bredon import (
+    IntMatrix,
     PointGroup,
     bredon_cochain_complex,
     builtin_block,
     cohomology_table,
 )
+from bredon.intlinalg import smith_with_inverse
+
+
+def free_coordinates(module):
+    """Projection/section pair identifying the flatten with Z^rank.
+
+    A general reference for any module whose flattened group is free,
+    computed from a Smith form of the relation lattice.
+    """
+    dim = module.flat_dim
+    rel = module.relation_columns()
+    if rel.cols == 0:
+        ident = IntMatrix.identity(dim)
+        return ident, ident, dim
+    diag, U, Uinv = smith_with_inverse(rel)
+    r = sum(1 for d in diag if d)
+    if any(d not in (0, 1) for d in diag):
+        raise ValueError("module with torsion is unsupported")
+    P = U.submatrix(r, dim, 0, dim)
+    S = Uinv.submatrix(0, dim, r, dim)
+    return P, S, dim - r
 
 
 @pytest.fixture(scope="session")

@@ -107,6 +107,15 @@ class TestValidateBlock:
         assert not report.ok
         assert any("expected" in f for f in report.findings)
 
+    def test_relations_not_preserved(self):
+        # the identity R/(eta^2 - 1) -> R commutes with eta but sends the
+        # relation eta^2 - 1 to a nonzero element of the free target
+        pg = PointGroup(4)
+        block = GcwBlock("bad3", pg, 1, ((2,), (4,)), (IntMatrix.identity(4),))
+        report = validate_block(block)
+        assert not report.ok
+        assert any("preserve relations" in f for f in report.findings)
+
     def test_d_squared_detected(self):
         pg = PointGroup(4)
         # two-step complex R -> R -> R with d = id both times: d^2 = id != 0

@@ -1,11 +1,19 @@
 """The tensor fold, the product-complex oracle, and the derived page."""
 
+import importlib.util
+import itertools
+import pathlib
+
 import pytest
 
 from bredon.complexes import (
     CohomologyEntry,
     CohomologyTable,
+    block_module,
+    builtin_block,
+    builtin_block_names,
     cohomology_table,
+    validate_block,
 )
 from bredon.intlinalg import FgAbGroup, IntMatrix, smith_diagonal
 from bredon.pullback import (
@@ -15,10 +23,11 @@ from bredon.pullback import (
     compute_pullback_cohomology,
     em_e2,
     kunneth_tensor,
+    product_block,
     product_complex,
     run_pullback,
 )
-from bredon.repring import quotient_by_ideal
+from bredon.repring import direct_sum_modules, quotient_by_ideal, tensor_over_ring
 
 VW_TABLE = {
     0: FgAbGroup(42, (2,) * 15),
@@ -36,12 +45,12 @@ def character_euler(complex_):
     of the flattened modules.  Computed directly from ranks of shift - 1
     and shift + 1, independent of the tensor machinery.
     """
-    from bredon.complexes import _free_coordinates
+    from conftest import free_coordinates
 
     plus = minus = gauss = 0
     for d in range(complex_.top + 1):
         module = complex_.modules[d]
-        P, S, rank = _free_coordinates(module)
+        P, S, rank = free_coordinates(module)
         if rank == 0:
             continue
         act = P * module.shift_matrix() * S
@@ -86,6 +95,39 @@ class TestProductComplex:
     def test_d_squared_validated(self, line_complex, plane_complex):
         pc = product_complex(line_complex, plane_complex)
         pc.check_d_squared()
+
+
+class TestProductBlock:
+    def test_catalog_pairs_follow_the_gcd_rule(self):
+        # each product module must present the same module as the ring
+        # tensor of the factor modules, and the product must be a valid block
+        for a, b in itertools.product(builtin_block_names(), repeat=2):
+            X, Y = builtin_block(a), builtin_block(b)
+            P = product_block(X, Y)
+            assert validate_block(P).ok
+            for t in range(P.dimension + 1):
+                pieces = [tensor_over_ring(block_module(X, i),
+                                           block_module(Y, t - i))
+                          for i in range(max(0, t - Y.dimension),
+                                         min(X.dimension, t) + 1)]
+                got = block_module(P, t).relation_lattice()
+                want = direct_sum_modules(pieces).relation_lattice()
+                assert all(got.contains(r) for r in want.basis_rows())
+                assert all(want.contains(r) for r in got.basis_rows())
+
+    def test_compare_script_covers_all_pairs(self, capsys):
+        path = (pathlib.Path(__file__).resolve().parent.parent / "scripts"
+                / "compare_block_products.py")
+        spec = importlib.util.spec_from_file_location("compare_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main() == 0
+        out = capsys.readouterr().out
+        pairs = list(itertools.combinations_with_replacement(
+            builtin_block_names(), 2))
+        assert len(pairs) == 6
+        for a, b in pairs:
+            assert f"{a} * {b}:" in out
 
 
 class TestKunneth:

@@ -226,10 +226,10 @@ class TestQuotientByIdeal:
 
 def induced_action_conjugator(L):
     """The unimodular matrix conjugating the presented action back to L."""
-    from bredon.complexes import _free_coordinates
+    from conftest import free_coordinates
 
     module, evaluation = present_lattice(L)
-    P, S, rank = _free_coordinates(module)
+    P, S, rank = free_coordinates(module)
     assert rank == L.rank
     induced = P * module.shift_matrix() * S
     W = evaluation * S
