@@ -25,14 +25,11 @@ from .repring import (
     LatticeModule,
     ModuleMap,
     PointGroup,
-    RingElement,
     free_module,
-    lattice_to_fp,
     present_lattice,
     presentation_kernel,
     quotient_by_ideal,
     restriction_module,
-    ring_multiply,
     tensor_over_ring,
     tor,
 )
@@ -72,15 +69,14 @@ __all__ = [
     "BigradedTable", "CochainComplex", "CohomologyTable",
     "CollapseFailureError", "FgAbGroup", "FpModule", "GcwBlock", "IntMatrix",
     "KTheoryResult", "Lattice", "LatticeModule", "ModuleMap",
-    "OracleMismatchError", "PointGroup", "PullbackSpec", "RingElement",
-    "SnfDecomposition", "SpecDocument", "SpecParseError",
-    "TorsionObstructionError", "ahss_collapse", "bredon_cochain_complex",
-    "builtin_block", "builtin_block_names", "cohomology_table",
-    "compute_pullback_cohomology", "determinant", "em_e2", "free_module",
-    "full_report", "hom_ext_z", "kernel_lattice", "kunneth_tensor",
-    "lattice_to_fp", "parse_spec", "present_lattice", "presentation_kernel",
-    "product_complex", "quotient_by_ideal", "quotient_group",
-    "restriction_module", "ring_multiply", "run_pullback", "smith_diagonal",
+    "OracleMismatchError", "PointGroup", "PullbackSpec", "SnfDecomposition",
+    "SpecDocument", "SpecParseError", "TorsionObstructionError",
+    "ahss_collapse", "bredon_cochain_complex", "builtin_block",
+    "builtin_block_names", "cohomology_table", "compute_pullback_cohomology",
+    "determinant", "em_e2", "free_module", "full_report", "hom_ext_z",
+    "kernel_lattice", "kunneth_tensor", "parse_spec", "present_lattice",
+    "presentation_kernel", "product_complex", "quotient_by_ideal",
+    "quotient_group", "restriction_module", "run_pullback", "smith_diagonal",
     "snf", "solve_exact", "tensor_over_ring", "tor", "uct_dualize",
     "validate_block",
 ]

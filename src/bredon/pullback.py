@@ -91,9 +91,6 @@ class BigradedTable:
     def row(self, p: int) -> dict:
         return {q: g for (pp, q), g in sorted(self.entries.items()) if pp == p}
 
-    def nonzero_positions(self) -> list:
-        return sorted(self.entries)
-
     def rows_above_zero(self) -> list:
         """Nonzero entries with p >= 1, the obstruction to collapse."""
         return [(p, q, g) for (p, q), g in sorted(self.entries.items()) if p >= 1]

@@ -1,16 +1,18 @@
 """Modules over the representation ring of a finite cyclic group.
 
 The coefficient ring is R(C_n) = Z[eta]/(eta^n - 1).  A finitely presented
-module is stored by generators and relation vectors over the ring; every
-computation is pushed down to exact integer linear algebra by flattening:
-a module with g generators becomes Z^(g*n) modulo one integer relation row
-per ring relation per power of eta, and the eta action becomes a cyclic
-permutation of coordinates within each generator block.
+module is stored by its generator count and its relations, each a flat
+integer row laid out generator by generator on 1, eta, ..., eta^(n-1).
+Every computation is pushed down to exact integer linear algebra: a module
+with g generators becomes Z^(g*n) modulo every eta-shift of every relation
+row, and the eta action becomes a cyclic permutation of coordinates within
+each generator block.
 
 Alongside presentations the module offers a second faithful form for
 Z-torsion-free modules, a lattice with an automorphism of finite order,
-plus converters in both directions.  Cohomology naturally produces
-lattices; tensor products, ideal quotients and Tor consume presentations.
+which :func:`present_lattice` turns into a presentation.  Cohomology
+naturally produces lattices; tensor products, ideal quotients and Tor
+consume presentations.
 """
 
 from __future__ import annotations
@@ -41,97 +43,27 @@ class PointGroup:
             raise ValueError("point group order must be >= 1")
 
 
-@dataclass(frozen=True)
-class RingElement:
-    """An element of Z[eta]/(eta^n - 1) by coordinates on 1, eta, ..., eta^(n-1)."""
-
-    group: PointGroup
-    coords: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
-        if len(self.coords) != self.group.order:
-            raise ValueError("coordinate length must equal the point group order")
-
-    @classmethod
-    def zero(cls, group: PointGroup) -> "RingElement":
-        return cls(group, (0,) * group.order)
-
-    @classmethod
-    def one(cls, group: PointGroup) -> "RingElement":
-        return cls.eta_power(group, 0)
-
-    @classmethod
-    def eta_power(cls, group: PointGroup, k: int) -> "RingElement":
-        coords = [0] * group.order
-        coords[k % group.order] = 1
-        return cls(group, coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def shift(self, k: int) -> "RingElement":
-        """Multiplication by eta^k."""
-        n = self.group.order
-        k %= n
-        return RingElement(self.group, self.coords[n - k:] + self.coords[:n - k])
-
-    def __add__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        return RingElement(self.group,
-                           tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "RingElement") -> "RingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.group, tuple(-a for a in self.coords))
-
-    def __mul__(self, other: "RingElement") -> "RingElement":
-        return ring_multiply(self, other)
-
-    def _check(self, other: "RingElement") -> None:
-        if self.group != other.group:
-            raise ValueError("point group order mismatch")
-
-
-def ring_multiply(a: RingElement, b: RingElement) -> RingElement:
-    """Product in Z[eta]/(eta^n - 1): cyclic convolution of coordinates."""
-    a._check(b)
-    n = a.group.order
-    out = [0] * n
-    for i, x in enumerate(a.coords):
-        if x:
-            for j, y in enumerate(b.coords):
-                if y:
-                    out[(i + j) % n] += x * y
-    return RingElement(a.group, out)
-
-
 class FpModule:
     """A finitely presented module over R(C_n).
 
-    ``relations`` is a tuple of relation vectors; each vector has one ring
-    element per generator.  Flattened data (integer relation rows, the
-    eta-permutation, the underlying abelian group) is computed on demand
-    and cached; instances are treated as immutable.
+    ``relations`` is a tuple of flat integer rows of length ``ngens * n``,
+    laid out generator by generator on 1, eta, ..., eta^(n-1).  Derived
+    data (every eta-shift of every relation, the eta-permutation, the
+    underlying abelian group) is computed on demand and cached; instances
+    are treated as immutable.
     """
 
     __slots__ = ("group", "ngens", "relations", "_rel_rows", "_rel_lattice",
                  "_flatten", "_shift")
 
     def __init__(self, group: PointGroup, ngens: int,
-                 relations: Sequence[Sequence[RingElement]] = ()):
+                 relations: Sequence[Sequence[int]] = ()):
         if ngens < 0:
             raise ValueError("negative generator count")
         rels = tuple(tuple(r) for r in relations)
         for rel in rels:
-            if len(rel) != ngens:
-                raise ValueError("relation length must equal generator count")
-            for c in rel:
-                if c.group != group:
-                    raise ValueError("relation entry over the wrong ring")
+            if len(rel) != ngens * group.order:
+                raise ValueError("relation row length must be ngens * n")
         self.group = group
         self.ngens = ngens
         self.relations = rels
@@ -157,14 +89,8 @@ class FpModule:
         """Integer relation rows: every relation multiplied by every eta power."""
         if self._rel_rows is None:
             n = self.group.order
-            rows = []
-            for rel in self.relations:
-                for t in range(n):
-                    row = []
-                    for c in rel:
-                        row.extend(c.shift(t).coords)
-                    rows.append(row)
-            self._rel_rows = rows
+            self._rel_rows = [row for rel in self.relations
+                              for row in _eta_orbit(rel, self.ngens, n)]
         return self._rel_rows
 
     def relation_lattice(self) -> RowEchelonLattice:
@@ -208,17 +134,11 @@ class FpModule:
         span = RowEchelonLattice(self.flat_dim)
         kept = []
         for rel in self.relations:
-            row = []
-            for c in rel:
-                row.extend(c.coords)
-            if span.contains(row):
+            if span.contains(rel):
                 continue
             kept.append(rel)
-            for t in range(n):
-                shifted = []
-                for c in rel:
-                    shifted.extend(c.shift(t).coords)
-                span.add(shifted)
+            for row in _eta_orbit(rel, self.ngens, n):
+                span.add(row)
         if len(kept) == len(self.relations):
             return self
         return FpModule(self.group, self.ngens, kept)
@@ -240,8 +160,10 @@ def restriction_module(group: PointGroup, m: int) -> FpModule:
         raise ValueError(f"isotropy order {m} does not divide {n}")
     if m == n:
         return free_module(group, 1)
-    rel = RingElement.eta_power(group, m) - RingElement.one(group)
-    return FpModule(group, 1, ((rel,),))
+    rel = [0] * n
+    rel[m] = 1
+    rel[0] = -1
+    return FpModule(group, 1, (rel,))
 
 
 def quotient_by_ideal(M: FpModule, k: int) -> FpModule:
@@ -249,13 +171,12 @@ def quotient_by_ideal(M: FpModule, k: int) -> FpModule:
     n = M.group.order
     if not 0 <= k <= n:
         raise ValueError("ideal power out of range")
-    gen_rel = RingElement.eta_power(M.group, k) - RingElement.one(M.group)
-    zero = RingElement.zero(M.group)
     extra = []
     for i in range(M.ngens):
-        rel = [zero] * M.ngens
-        rel[i] = gen_rel
-        extra.append(tuple(rel))
+        rel = [0] * M.flat_dim
+        rel[i * n + k % n] += 1
+        rel[i * n] -= 1
+        extra.append(rel)
     return FpModule(M.group, M.ngens, M.relations + tuple(extra)).pruned()
 
 
@@ -264,20 +185,18 @@ def direct_sum_modules(mods: Sequence[FpModule]) -> FpModule:
     if not mods:
         raise ValueError("empty direct sum needs an explicit point group")
     group = mods[0].group
-    zero = RingElement.zero(group)
-    total = sum(m.ngens for m in mods)
+    total = sum(m.flat_dim for m in mods)
     relations = []
     offset = 0
     for m in mods:
         if m.group != group:
             raise ValueError("point group mismatch in direct sum")
         for rel in m.relations:
-            padded = [zero] * total
-            for i, c in enumerate(rel):
-                padded[offset + i] = c
-            relations.append(tuple(padded))
-        offset += m.ngens
-    return FpModule(group, total, relations)
+            padded = [0] * total
+            padded[offset:offset + len(rel)] = rel
+            relations.append(padded)
+        offset += m.flat_dim
+    return FpModule(group, sum(m.ngens for m in mods), relations)
 
 
 def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
@@ -289,23 +208,22 @@ def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
     """
     if M.group != N.group:
         raise ValueError("point group mismatch in tensor product")
-    group = M.group
-    zero = RingElement.zero(group)
+    n = M.group.order
     g = M.ngens * N.ngens
     relations = []
     for rel in M.relations:
         for j in range(N.ngens):
-            row = [zero] * g
-            for i, c in enumerate(rel):
-                row[i * N.ngens + j] = c
-            relations.append(tuple(row))
+            row = [0] * (g * n)
+            for i in range(M.ngens):
+                at = (i * N.ngens + j) * n
+                row[at:at + n] = rel[i * n:(i + 1) * n]
+            relations.append(row)
     for i in range(M.ngens):
         for rel in N.relations:
-            row = [zero] * g
-            for j, c in enumerate(rel):
-                row[i * N.ngens + j] = c
-            relations.append(tuple(row))
-    return FpModule(group, g, relations).pruned()
+            row = [0] * (g * n)
+            row[i * N.flat_dim:(i + 1) * N.flat_dim] = rel
+            relations.append(row)
+    return FpModule(M.group, g, relations).pruned()
 
 
 class ModuleMap:
@@ -331,11 +249,6 @@ class ModuleMap:
     @classmethod
     def identity(cls, module: FpModule) -> "ModuleMap":
         return cls(module, module, IntMatrix.identity(module.flat_dim), check=False)
-
-    @classmethod
-    def zero(cls, source: FpModule, target: FpModule) -> "ModuleMap":
-        return cls(source, target,
-                   IntMatrix.zeros(target.flat_dim, source.flat_dim), check=False)
 
     def validate(self) -> None:
         if self.source.group != self.target.group:
@@ -378,12 +291,22 @@ class ModuleMap:
 
 
 def _shift_vector(vec: Sequence[int], ngens: int, n: int) -> list:
+    """Multiplication of a flat vector by eta."""
     out = [0] * len(vec)
     for g in range(ngens):
         base = g * n
         for t in range(n):
             out[base + (t + 1) % n] = vec[base + t]
     return out
+
+
+def _eta_orbit(vec: Sequence[int], ngens: int, n: int):
+    """Yield vec, eta * vec, ..., eta^(n-1) * vec as lists."""
+    vec = list(vec)
+    yield vec
+    for _ in range(n - 1):
+        vec = _shift_vector(vec, ngens, n)
+        yield vec
 
 
 def tensor_map_left(matrix: IntMatrix, ngens: int, n: int) -> IntMatrix:
@@ -450,10 +373,10 @@ def present_lattice(L: LatticeModule):
     vectors already in the ring span of earlier choices.  Candidates are
     tried in order of the Z-rank of their eta-orbit, largest first, ties
     by lowest index, which keeps the presentation small.
-    Relations are a generating set of the kernel of the evaluation map,
-    selected greedily from its kernel lattice by the same rule.  Returns
-    ``(module, evaluation)`` where ``evaluation`` sends flattened module
-    generators onto Z^rank and intertwines eta with the action.
+    Relations are a generating set of the kernel of the evaluation map:
+    a basis of its kernel lattice, thinned by :meth:`FpModule.pruned`.
+    Returns ``(module, evaluation)`` where ``evaluation`` sends flattened
+    module generators onto Z^rank and intertwines eta with the action.
     """
     group = L.group
     n = group.order
@@ -490,33 +413,12 @@ def present_lattice(L: LatticeModule):
     evaluation = IntMatrix.from_columns(r, columns)
 
     kernel = kernel_lattice(evaluation)
-    rel_span = RowEchelonLattice(s * n)
-    relations = []
-    for col in kernel.basis.columns():
-        if rel_span.contains(col):
-            continue
-        relations.append(tuple(
-            RingElement(group, col[i * n:(i + 1) * n]) for i in range(s)))
-        for t in range(n):
-            rel_span.add(_shift_iterate(col, s, n, t))
-    module = FpModule(group, s, relations)
+    module = FpModule(group, s, kernel.basis.columns()).pruned()
 
     flat = module.flatten()
     if not flat.is_free or flat.free_rank != r:
         raise AssertionError("lattice presentation failed to reproduce the rank")
     return module, evaluation
-
-
-def _shift_iterate(vec: Sequence[int], ngens: int, n: int, times: int) -> list:
-    out = list(vec)
-    for _ in range(times):
-        out = _shift_vector(out, ngens, n)
-    return out
-
-
-def lattice_to_fp(L: LatticeModule) -> FpModule:
-    """The presentation half of :func:`present_lattice`."""
-    return present_lattice(L)[0]
 
 
 def presentation_kernel(f: ModuleMap):

@@ -88,6 +88,11 @@ class SpecDocument:
         )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect(condition: bool, message: str, location: str) -> None:
     if not condition:
         raise SpecParseError(message, location)
@@ -98,8 +103,9 @@ def _parse_custom_block(obj: dict, pg: PointGroup, location: str) -> GcwBlock:
             "custom block needs a nonempty 'name'", location)
     name = obj["name"]
     dim = obj.get("dimension")
-    _expect(isinstance(dim, int) and dim >= 0,
-            "'dimension' must be a nonnegative integer", location)
+    _expect(_is_int(dim) and dim >= 0,
+            "'dimension' must be a nonnegative integer",
+            f"{location}.dimension")
     cells_obj = obj.get("cells")
     _expect(isinstance(cells_obj, dict), "'cells' must be an object keyed by degree",
             location)
@@ -110,7 +116,7 @@ def _parse_custom_block(obj: dict, pg: PointGroup, location: str) -> GcwBlock:
                 f"{location}.cells")
         orders = cells_obj[key]
         _expect(isinstance(orders, list) and orders
-                and all(isinstance(m, int) for m in orders),
+                and all(_is_int(m) for m in orders),
                 f"degree {d} cells must be a nonempty list of integers",
                 f"{location}.cells.{d}")
         cells.append(tuple(orders))
@@ -125,17 +131,16 @@ def _parse_custom_block(obj: dict, pg: PointGroup, location: str) -> GcwBlock:
                 f"{location}.differentials")
         rows = diff_obj[key]
         loc = f"{location}.differentials.{d}"
-        _expect(isinstance(rows, list) and all(isinstance(r, list) for r in rows),
+        _expect(isinstance(rows, list)
+                and all(isinstance(r, list) and all(_is_int(x) for x in r)
+                        for r in rows),
                 "differential must be a nested integer array", loc)
         expected_rows = len(cells[d + 1]) * n
         expected_cols = len(cells[d]) * n
         _expect(len(rows) == expected_rows
                 and all(len(r) == expected_cols for r in rows),
                 f"differential must be {expected_rows}x{expected_cols}", loc)
-        try:
-            diffs.append(IntMatrix(expected_rows, expected_cols, rows))
-        except (TypeError, ValueError) as exc:
-            raise SpecParseError(f"bad matrix entries: {exc}", loc)
+        diffs.append(IntMatrix(expected_rows, expected_cols, rows))
     block = GcwBlock(name, pg, dim, tuple(cells), tuple(diffs))
     report = validate_block(block)
     if not report.ok:
@@ -157,7 +162,7 @@ def parse_spec(text: str) -> SpecDocument:
     _expect(isinstance(doc, dict), "top level must be an object", "$")
 
     order = doc.get("point_group_order")
-    _expect(isinstance(order, int) and order >= 1,
+    _expect(_is_int(order) and order >= 1,
             "'point_group_order' must be an integer >= 1", "$.point_group_order")
     pg = PointGroup(order)
 
@@ -195,7 +200,7 @@ def parse_spec(text: str) -> SpecDocument:
                     f"$.options.{key}")
             setattr(options, key, opt_obj[key])
     if "tor_depth" in opt_obj:
-        _expect(isinstance(opt_obj["tor_depth"], int) and opt_obj["tor_depth"] >= 0,
+        _expect(_is_int(opt_obj["tor_depth"]) and opt_obj["tor_depth"] >= 0,
                 "'tor_depth' must be a nonnegative integer", "$.options.tor_depth")
         options.tor_depth = opt_obj["tor_depth"]
     if "format" in opt_obj:

@@ -81,6 +81,58 @@ class TestParseSpec:
             parse_spec(json.dumps({"point_group_order": 4, "blocks": [bad]}))
 
 
+def _with_entry(rows, value):
+    rows = [list(r) for r in rows]
+    rows[0][0] = value
+    return rows
+
+
+LINE_D0 = line_block_json()["differentials"]["0"]
+# Each value is a JSON boolean, float or string where an integer belongs.
+# Python's bool is an int subclass and int() truncates floats and parses
+# strings, so an isinstance(x, int) or int(x) check reads each as 1.
+NON_INTEGER_SPECS = {
+    "point_group_order": (
+        {"point_group_order": True, "blocks": ["point"]},
+        "$.point_group_order"),
+    "dimension": (
+        {"point_group_order": 4,
+         "blocks": [dict(line_block_json(), dimension=True)]},
+        "$.blocks[0].dimension"),
+    "cell_order": (
+        {"point_group_order": 4,
+         "blocks": [{"name": "pt", "dimension": 0, "cells": {"0": [True]}}]},
+        "$.blocks[0].cells.0"),
+    "differential_float": (
+        {"point_group_order": 4,
+         "blocks": [dict(line_block_json(),
+                         differentials={"0": _with_entry(LINE_D0, 1.5)})]},
+        "$.blocks[0].differentials.0"),
+    "differential_string": (
+        {"point_group_order": 4,
+         "blocks": [dict(line_block_json(),
+                         differentials={"0": _with_entry(LINE_D0, "1")})]},
+        "$.blocks[0].differentials.0"),
+    "tor_depth": (
+        {"point_group_order": 4, "blocks": ["point"],
+         "options": {"tor_depth": True}},
+        "$.options.tor_depth"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_SPECS))
+def test_non_integer_rejected(name, tmp_path, capsys):
+    doc, location = NON_INTEGER_SPECS[name]
+    text = json.dumps(doc)
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(text)
+    assert info.value.location == location
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["cohomology", str(path)]) == 2
+    assert location in capsys.readouterr().err
+
+
 @pytest.fixture()
 def spec_file(tmp_path):
     def write(content):
