@@ -23,7 +23,6 @@ from .intlinalg import (
 from .repring import (
     FpModule,
     LatticeModule,
-    ModuleMap,
     PointGroup,
     free_module,
     present_lattice,
@@ -68,9 +67,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BigradedTable", "CochainComplex", "CohomologyTable",
     "CollapseFailureError", "FgAbGroup", "FpModule", "GcwBlock", "IntMatrix",
-    "KTheoryResult", "Lattice", "LatticeModule", "ModuleMap",
-    "OracleMismatchError", "PointGroup", "PullbackSpec", "SnfDecomposition",
-    "SpecDocument", "SpecParseError", "TorsionObstructionError",
+    "KTheoryResult", "Lattice", "LatticeModule", "OracleMismatchError",
+    "PointGroup", "PullbackSpec", "SnfDecomposition", "SpecDocument",
+    "SpecParseError", "TorsionObstructionError",
     "ahss_collapse", "bredon_cochain_complex", "builtin_block",
     "builtin_block_names", "cohomology_table", "compute_pullback_cohomology",
     "determinant", "em_e2", "free_module", "full_report", "hom_ext_z",

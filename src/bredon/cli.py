@@ -132,13 +132,12 @@ def _run_command(args) -> int:
 
     oracle = True if args.oracle else None
     full_oracle = True if args.full_product_oracle else None
-    tor_depth = args.tor_depth if args.tor_depth is not None else None
+    tor_depth = args.tor_depth
     if args.command == "verify":
         # verify always runs the oracle and collapse certificate families
         oracle = True
-        if tor_depth is None and doc.options.tor_depth == 0:
-            tor_depth = 2
-    if args.command == "e2" and tor_depth is None and doc.options.tor_depth == 0:
+    if (args.command in ("verify", "e2") and tor_depth is None
+            and doc.options.tor_depth == 0):
         tor_depth = 2
 
     spec = doc.to_pullback_spec(oracle=oracle, full_product_oracle=full_oracle,

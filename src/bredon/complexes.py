@@ -38,8 +38,8 @@ from .intlinalg import (
 from .repring import (
     FpModule,
     LatticeModule,
-    ModuleMap,
     PointGroup,
+    check_equivariance,
     direct_sum_modules,
     present_lattice,
     restriction_module,
@@ -69,26 +69,27 @@ class GcwBlock:
 class CochainComplex:
     """The cochain complex of a block: one restriction module per cell.
 
-    Keeps the block it was built from; ``coordinates[d]`` is the
-    closed-form ``(P, S, rank)`` of :func:`_free_coordinates` for degree d.
-    Build it through :func:`bredon_cochain_complex`, which validates.
+    Keeps the block it was built from, whose ``differentials`` are the
+    maps; ``coordinates[d]`` is the closed-form ``(P, S, rank)`` of
+    :func:`_free_coordinates` for degree d.  Build it through
+    :func:`bredon_cochain_complex`, which validates.
     """
 
     def __init__(self, block: GcwBlock):
         n = block.point_group.order
         self.block = block
         self.point_group = block.point_group
-        self.modules = [block_module(block, d)
-                        for d in range(block.dimension + 1)]
-        self.maps = [ModuleMap(self.modules[d], self.modules[d + 1],
-                               block.differentials[d], check=False)
-                     for d in range(block.dimension)]
         self.coordinates = [_free_coordinates(orders, n)
                             for orders in block.cells]
 
     @property
+    def modules(self) -> list:
+        """The presented cochain modules, built on each access."""
+        return [block_module(self.block, d) for d in range(self.top + 1)]
+
+    @property
     def top(self) -> int:
-        return len(self.modules) - 1
+        return self.block.dimension
 
     def flattened_ranks(self) -> list:
         return [sum(orders) for orders in self.block.cells]
@@ -97,9 +98,10 @@ class CochainComplex:
         return sum((-1) ** d * r for d, r in enumerate(self.flattened_ranks()))
 
     def check_d_squared(self) -> None:
-        for d in range(len(self.maps) - 1):
+        diffs = self.block.differentials
+        for d in range(len(diffs) - 1):
             P = self.coordinates[d + 2][0]
-            if not (P * self.maps[d + 1].matrix * self.maps[d].matrix).is_zero():
+            if not (P * diffs[d + 1] * diffs[d]).is_zero():
                 raise ValueError(f"d^2 is nonzero between degrees {d} and {d + 2}")
 
 
@@ -259,13 +261,13 @@ def _build(block: GcwBlock):
     if report.findings:
         return report, None
     complex_ = CochainComplex(block)
-    for d, mm in enumerate(complex_.maps):
+    for d, mat in enumerate(block.differentials):
         try:
-            mm._check_equivariance()
+            check_equivariance(mat, n)
         except ValueError as exc:
             report.findings.append(f"degree {d}: {exc}")
             continue
-        image = complex_.coordinates[d + 1][0] * mm.matrix
+        image = complex_.coordinates[d + 1][0] * mat
         if any(image.column(c * n) != image.column(c * n + m)
                for c, m in enumerate(block.cells[d]) if m < n):
             report.findings.append(
@@ -300,6 +302,21 @@ def _free_coordinates(orders: Sequence[int], n: int):
     return IntMatrix(rank, dim, P), IntMatrix(dim, rank, S), rank
 
 
+def _freed_action(orders: Sequence[int]) -> IntMatrix:
+    """The eta action in freed coordinates: t -> t + 1 mod m on each cell.
+
+    This is P * shift * S for the ``(P, S)`` of :func:`_free_coordinates`.
+    """
+    rank = sum(orders)
+    rows = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for m in orders:
+        for t in range(m):
+            rows[offset + (t + 1) % m][offset + t] = 1
+        offset += m
+    return IntMatrix(rank, rank, rows)
+
+
 def cohomology_table(C: CochainComplex) -> CohomologyTable:
     """Cohomology of a cochain complex, with module structure where free.
 
@@ -309,15 +326,9 @@ def cohomology_table(C: CochainComplex) -> CohomologyTable:
     """
     top = C.top
     coords = C.coordinates
-    freed_maps = []
-    for d in range(top):
-        P_next = coords[d + 1][0]
-        S_here = coords[d][1]
-        freed_maps.append(P_next * C.maps[d].matrix * S_here)
-    freed_actions = []
-    for d in range(top + 1):
-        P, S, _ = coords[d]
-        freed_actions.append(P * C.modules[d].shift_matrix() * S)
+    freed_maps = [coords[d + 1][0] * mat * coords[d][1]
+                  for d, mat in enumerate(C.block.differentials)]
+    freed_actions = [_freed_action(orders) for orders in C.block.cells]
 
     entries = {}
     for d in range(top + 1):

@@ -25,7 +25,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable[int]]):
-        tup = tuple(tuple(int(x) for x in row) for row in data)
+        tup = tuple(map(tuple, data))
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise ValueError(f"shape mismatch: expected {rows}x{cols}")
         self.rows = rows

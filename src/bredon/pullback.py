@@ -39,6 +39,9 @@ from .repring import (
 )
 
 
+MAX_TOR_DEPTH = 8
+
+
 class PullbackError(Exception):
     """Base class for pipeline failures."""
 
@@ -73,6 +76,9 @@ class PullbackSpec:
                 raise ValueError(f"block {b.name!r} has a different point group")
         if self.tor_depth < 0:
             raise ValueError("tor depth must be nonnegative")
+        if self.tor_depth > MAX_TOR_DEPTH:
+            raise ValueError(f"tor depth {self.tor_depth} exceeds the limit "
+                             f"MAX_TOR_DEPTH = {MAX_TOR_DEPTH}")
 
 
 class BigradedTable:

@@ -226,70 +226,6 @@ def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
     return FpModule(M.group, g, relations).pruned()
 
 
-class ModuleMap:
-    """An eta-equivariant map between presented modules.
-
-    The matrix acts on flattened generator coordinates (target rows by
-    source columns).  Validity means commuting with the eta permutation
-    and sending source relations into the target relation lattice.
-    """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source: FpModule, target: FpModule, matrix: IntMatrix,
-                 check: bool = True):
-        if matrix.rows != target.flat_dim or matrix.cols != source.flat_dim:
-            raise ValueError("matrix shape does not match flattened modules")
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        if check:
-            self.validate()
-
-    @classmethod
-    def identity(cls, module: FpModule) -> "ModuleMap":
-        return cls(module, module, IntMatrix.identity(module.flat_dim), check=False)
-
-    def validate(self) -> None:
-        if self.source.group != self.target.group:
-            raise ValueError("point group mismatch")
-        self._check_equivariance()
-        lat = self.target.relation_lattice()
-        for row in self.source.relation_rows():
-            image = self.matrix.mul_vector(row)
-            if not lat.contains(image):
-                raise ValueError("map does not preserve relations")
-
-    def _check_equivariance(self) -> None:
-        # Columns must satisfy col(i, t+1) = shift_target * col(i, t);
-        # checking columns avoids forming full matrix products.
-        n = self.source.group.order
-        mat = self.matrix
-        for i in range(self.source.ngens):
-            prev = mat.column(i * n)
-            for t in range(1, n + 1):
-                expected = _shift_vector(prev, self.target.ngens, n)
-                col = mat.column(i * n + t % n)
-                if col != expected:
-                    raise ValueError("map is not eta-equivariant")
-                prev = col
-
-    def compose(self, inner: "ModuleMap") -> "ModuleMap":
-        """self after inner."""
-        if inner.target is not self.source and inner.target != self.source:
-            raise ValueError("composition mismatch")
-        return ModuleMap(inner.source, self.target,
-                         self.matrix * inner.matrix, check=False)
-
-    def is_zero_map(self) -> bool:
-        """Zero as a map to the presented target (zero modulo relations)."""
-        lat = self.target.relation_lattice()
-        for j in range(self.matrix.cols):
-            if not lat.contains(self.matrix.column(j)):
-                return False
-        return True
-
-
 def _shift_vector(vec: Sequence[int], ngens: int, n: int) -> list:
     """Multiplication of a flat vector by eta."""
     out = [0] * len(vec)
@@ -298,6 +234,21 @@ def _shift_vector(vec: Sequence[int], ngens: int, n: int) -> list:
         for t in range(n):
             out[base + (t + 1) % n] = vec[base + t]
     return out
+
+
+def check_equivariance(matrix: IntMatrix, n: int) -> None:
+    """Raise unless the flat matrix commutes with eta.
+
+    Columns must satisfy col(i, t+1) = eta * col(i, t); checking columns
+    avoids forming full matrix products.
+    """
+    for i in range(matrix.cols // n):
+        prev = matrix.column(i * n)
+        for t in range(1, n + 1):
+            col = matrix.column(i * n + t % n)
+            if col != _shift_vector(prev, matrix.rows // n, n):
+                raise ValueError("map is not eta-equivariant")
+            prev = col
 
 
 def _eta_orbit(vec: Sequence[int], ngens: int, n: int):
@@ -421,57 +372,57 @@ def present_lattice(L: LatticeModule):
     return module, evaluation
 
 
-def presentation_kernel(f: ModuleMap):
+def _preimage(matrix: IntMatrix, target: FpModule) -> IntMatrix:
+    """Basis of the flat source vectors that ``matrix`` sends to zero in target.
+
+    The kernel of ``[matrix | target relation columns]``, projected onto
+    the source coordinates and re-spanned.
+    """
+    rel_cols = target.relation_columns()
+    stacked = matrix.hstack(rel_cols) if rel_cols.cols else matrix
+    span = RowEchelonLattice(matrix.cols)
+    for col in kernel_lattice(stacked).basis.columns():
+        span.add(col[:matrix.cols])
+    return span.basis_columns_matrix(matrix.cols)
+
+
+def presentation_kernel(matrix: IntMatrix, target: FpModule):
     """Kernel of a map out of a free module, as a presented module.
 
-    Computes the integer lattice of flattened source vectors whose image
-    lands in the target relation lattice, restricts the eta action to it,
-    and presents the result.  Returns ``(K, inclusion)`` with the
-    inclusion composing with f to the zero map.
+    ``matrix`` is the flat matrix of an eta-equivariant map from the free
+    module on ``matrix.cols // n`` generators to ``target``.  The kernel
+    lattice, with the eta action restricted to it, is presented by
+    :func:`present_lattice`.  Returns ``(K, inclusion)`` where the flat
+    matrix ``inclusion`` sends K into the source and composes with
+    ``matrix`` to zero modulo the target relations.
     """
-    if f.source.relations:
-        raise ValueError("presentation_kernel needs a free source")
-    src_dim = f.source.flat_dim
-    rel_cols = f.target.relation_columns()
-    stacked = f.matrix.hstack(rel_cols) if rel_cols.cols else f.matrix
-    raw = kernel_lattice(stacked)
-    projected = [col[:src_dim] for col in raw.basis.columns()]
-    span = RowEchelonLattice(src_dim)
-    for col in projected:
-        span.add(col)
-    basis = span.basis_columns_matrix(src_dim)
+    group = target.group
+    basis = _preimage(matrix, target)
     d = basis.cols
-    group = f.source.group
     if d == 0:
-        K = FpModule(group, 0, ())
-        return K, ModuleMap(K, f.source, IntMatrix.zeros(src_dim, 0), check=False)
-
-    solver = LinearSolver(basis)
-    shifted = solver.solve_matrix(f.source.shift_matrix() * basis)
+        return FpModule(group, 0, ()), basis
+    source = free_module(group, matrix.cols // group.order)
+    shifted = LinearSolver(basis).solve_matrix(source.shift_matrix() * basis)
     if shifted is None:
         raise AssertionError("kernel lattice is not shift-stable")
     K, evaluation = present_lattice(LatticeModule(group, d, shifted))
-    inclusion = ModuleMap(K, f.source, basis * evaluation, check=False)
-    return K, inclusion
+    return K, basis * evaluation
 
 
 def free_resolution_maps(M: FpModule, length: int) -> list:
-    """Maps of a partial free resolution of M.
+    """Flat matrices of a partial free resolution of M.
 
-    Entry 0 is the cover of M by the free module on its generators; entry
-    p >= 1 is the flat matrix of F_p -> F_(p-1).  The list holds
-    ``length + 1`` maps, enough to read off Tor up to degree ``length``.
+    Entry 0 is the cover of M by the free module on its generators (the
+    identity); entry p >= 1 is the matrix of F_p -> F_(p-1).  Each F_p is
+    free on ``matrix.cols // n`` generators.  The list holds ``length + 1``
+    matrices, enough to read off Tor up to degree ``length``.
     """
-    cover = ModuleMap(free_module(M.group, M.ngens), M,
-                      IntMatrix.identity(M.flat_dim), check=False)
-    maps = [cover]
-    current = cover
+    maps = [IntMatrix.identity(M.flat_dim)]
+    target = M
     for _ in range(length):
-        K, inclusion = presentation_kernel(current)
-        step = ModuleMap(free_module(M.group, K.ngens), current.source,
-                         inclusion.matrix, check=False)
-        maps.append(step)
-        current = step
+        _, inclusion = presentation_kernel(maps[-1], target)
+        target = free_module(M.group, maps[-1].cols // M.group.order)
+        maps.append(inclusion)
     return maps
 
 
@@ -486,23 +437,14 @@ def homology_of_presented_complex(modules: Sequence[FpModule],
     """
     out = []
     for p in range(len(modules) - 1):
-        T = modules[p]
-        dim = T.flat_dim
+        dim = modules[p].flat_dim
         if dim == 0:
             out.append(FgAbGroup.trivial())
             continue
         if p == 0:
             cycles = IntMatrix.identity(dim)
         else:
-            prev = modules[p - 1]
-            rel_cols = prev.relation_columns()
-            mat = matrices[p]
-            stacked = mat.hstack(rel_cols) if rel_cols.cols else mat
-            raw = kernel_lattice(stacked)
-            span = RowEchelonLattice(dim)
-            for col in raw.basis.columns():
-                span.add(col[:dim])
-            cycles = span.basis_columns_matrix(dim)
+            cycles = _preimage(matrices[p], modules[p - 1])
         boundary_cols = modules[p].relation_lattice().basis_rows()
         nxt = matrices[p + 1]
         if nxt is not None:
@@ -525,9 +467,9 @@ def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
     N = N.pruned()
+    n = M.group.order
     maps = free_resolution_maps(M, p_max + 1)
-    modules = [tensor_over_ring(free_module(M.group, step.source.ngens), N)
+    modules = [tensor_over_ring(free_module(M.group, step.cols // n), N)
                for step in maps]
-    matrices = [None] + [tensor_map_left(step.matrix, N.ngens, M.group.order)
-                         for step in maps[1:]]
+    matrices = [None] + [tensor_map_left(step, N.ngens, n) for step in maps[1:]]
     return homology_of_presented_complex(modules, matrices)

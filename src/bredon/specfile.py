@@ -42,6 +42,7 @@ from .pullback import PullbackSpec
 from .repring import PointGroup
 
 FORMATS = ("human", "machine")
+MAX_POINT_GROUP_ORDER = 64
 
 
 class SpecParseError(Exception):
@@ -164,6 +165,9 @@ def parse_spec(text: str) -> SpecDocument:
     order = doc.get("point_group_order")
     _expect(_is_int(order) and order >= 1,
             "'point_group_order' must be an integer >= 1", "$.point_group_order")
+    _expect(order <= MAX_POINT_GROUP_ORDER,
+            f"'point_group_order' exceeds the limit MAX_POINT_GROUP_ORDER = "
+            f"{MAX_POINT_GROUP_ORDER}", "$.point_group_order")
     pg = PointGroup(order)
 
     blocks_obj = doc.get("blocks")

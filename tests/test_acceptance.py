@@ -41,6 +41,7 @@ from bredon.pullback import (
 )
 from bredon.repring import (
     PointGroup,
+    check_equivariance,
     free_module,
     quotient_by_ideal,
     restriction_module,
@@ -292,8 +293,8 @@ def test_criterion_8_property_suites():
         product_complex(products["line*line"], complexes["plane-i"]),
         complexes["plane-i"])
     for label, cx in {**complexes, **products}.items():
-        for mm in cx.maps:
-            mm._check_equivariance()
+        for mat in cx.block.differentials:
+            check_equivariance(mat, 4)
         cx.check_d_squared()
         crit.check_true(f"{label}: d^2 = 0 and equivariant", True)
 

@@ -6,7 +6,8 @@ import pytest
 
 from bredon.cli import main
 from bredon.complexes import builtin_block
-from bredon.specfile import SpecParseError, parse_spec
+from bredon.pullback import MAX_TOR_DEPTH
+from bredon.specfile import MAX_POINT_GROUP_ORDER, SpecParseError, parse_spec
 
 VW_SPEC = json.dumps({
     "point_group_order": 4,
@@ -241,3 +242,49 @@ class TestCli:
         out = capsys.readouterr().out
         assert "(p=0, q=0) = Z^10" in out
         assert "(p=1, q=0) = (Z/2)^2" in out
+
+
+def fixed_point_spec(order, **options):
+    """One inline fixed point over the cyclic point group of this order."""
+    return json.dumps({
+        "point_group_order": order,
+        "blocks": [{"name": "pt", "dimension": 0, "cells": {"0": [order]}}],
+        "options": options,
+    })
+
+
+class TestSpecLimits:
+    # Oversize values are refused before any work starts, so the over-limit
+    # cases are cheap; the at-limit cases run a single block, which has no
+    # fold and therefore no resolution.
+    def test_point_group_order_at_limit(self, spec_file, capsys):
+        path = spec_file(fixed_point_spec(MAX_POINT_GROUP_ORDER))
+        assert main(["cohomology", path, "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cohomology"]["0"]["free_rank"] == MAX_POINT_GROUP_ORDER
+
+    def test_point_group_order_over_limit(self, spec_file, capsys):
+        text = fixed_point_spec(MAX_POINT_GROUP_ORDER + 1)
+        with pytest.raises(SpecParseError) as info:
+            parse_spec(text)
+        assert info.value.location == "$.point_group_order"
+        assert main(["cohomology", spec_file(text)]) == 2
+        assert "MAX_POINT_GROUP_ORDER = 64" in capsys.readouterr().err
+
+    def test_tor_depth_at_limit(self, spec_file, capsys):
+        path = spec_file(POINT_SPEC)
+        assert main(["e2", path, "--tor-depth", str(MAX_TOR_DEPTH)]) == 0
+        assert f"depth {MAX_TOR_DEPTH}" in capsys.readouterr().out
+        path = spec_file(fixed_point_spec(4, tor_depth=MAX_TOR_DEPTH))
+        assert main(["cohomology", path]) == 0
+
+    @pytest.mark.parametrize("where", ["flag", "spec"])
+    def test_tor_depth_over_limit(self, where, spec_file, capsys):
+        if where == "flag":
+            path = spec_file(POINT_SPEC)
+            argv = ["e2", path, "--tor-depth", str(MAX_TOR_DEPTH + 1)]
+        else:
+            path = spec_file(fixed_point_spec(4, tor_depth=MAX_TOR_DEPTH + 1))
+            argv = ["cohomology", path]
+        assert main(argv) == 2
+        assert "MAX_TOR_DEPTH = 8" in capsys.readouterr().err

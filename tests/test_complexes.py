@@ -1,17 +1,23 @@
 """Catalog blocks, cochain complexes, cohomology with module structure."""
 
+from functools import reduce
+
 import pytest
 
 from bredon.complexes import (
     GcwBlock,
+    _freed_action,
+    block_module,
     bredon_cochain_complex,
     builtin_block,
     builtin_block_names,
     cohomology_table,
     validate_block,
 )
-from bredon.intlinalg import FgAbGroup, IntMatrix
+from bredon.intlinalg import FgAbGroup, IntMatrix, smith_diagonal
+from bredon.pullback import product_block
 from bredon.repring import PointGroup, quotient_by_ideal
+from conftest import free_coordinates
 
 
 class TestCatalog:
@@ -140,3 +146,26 @@ class TestEquivarianceOfTables:
                 module = table.module(d)
                 if module is not None:
                     assert module.flatten() == table.group(d)
+
+
+FLAGSHIP = ("line-minus", "line-minus", "plane-i", "plane-i")
+
+
+@pytest.mark.parametrize("blocks", [(name,) for name in builtin_block_names()]
+                         + [FLAGSHIP], ids="*".join)
+def test_freed_action_is_transported_shift(blocks):
+    # The closed-form action t -> t + 1 mod m is P * shift * S in the
+    # closed-form coordinates.  The Smith-based reference (P, S) picks a
+    # different basis of the same Z^rank, so the two actions agree after
+    # the unimodular change of coordinates W = P * S_closed.
+    block = reduce(product_block, [builtin_block(name) for name in blocks])
+    complex_ = bredon_cochain_complex(block)
+    for d, orders in enumerate(block.cells):
+        module = block_module(block, d)
+        P, S, rank = free_coordinates(module)
+        _, S_closed, closed_rank = complex_.coordinates[d]
+        assert closed_rank == rank
+        action = _freed_action(orders)
+        W = P * S_closed
+        assert smith_diagonal(W) == [1] * rank
+        assert W * action == P * module.shift_matrix() * S * W
