@@ -2,11 +2,15 @@
 
 A block records the equivariant cell structure of one semidirect-product
 building space over the cyclic point group: per degree, a list of cell
-orbits each carrying the order of its isotropy group, plus the flattened
-differential matrices.  The cochain module in degree d is the direct sum
-of one restriction module per cell, and cohomology is computed degreewise
-by exact integer linear algebra, together with the induced eta action on
-every torsion-free cohomology group.
+orbits each carrying the order of its isotropy group, plus the flat
+differential matrices, with n coordinates 1, eta, ..., eta^(n-1) per cell.
+The cochain module in degree d is the direct sum of one restriction
+module R(C_m) = R(C_n)/(eta^m - 1) per cell, whose underlying group is
+Z^m.  Cochains are computed in these freed coordinates, Z^(sum of the
+isotropy orders): each flat differential is folded once onto them, and
+cohomology is computed degreewise by exact integer linear algebra,
+together with the induced eta action on every torsion-free cohomology
+group.
 
 Built-in catalog:
 
@@ -69,18 +73,17 @@ class GcwBlock:
 class CochainComplex:
     """The cochain complex of a block: one restriction module per cell.
 
-    Keeps the block it was built from, whose ``differentials`` are the
-    maps; ``coordinates[d]`` is the closed-form ``(P, S, rank)`` of
-    :func:`_free_coordinates` for degree d.  Build it through
-    :func:`bredon_cochain_complex`, which validates.
+    Cochains live in freed coordinates: degree d is Z^(sum of the
+    isotropy orders of its cells), a cell of order m holding the
+    coordinates 1, eta, ..., eta^(m-1).  ``maps[d]`` is the freed matrix
+    of the block's flat ``differentials[d]`` (see :func:`_fold`).  Build
+    it through :func:`bredon_cochain_complex`, which validates.
     """
 
-    def __init__(self, block: GcwBlock):
-        n = block.point_group.order
+    def __init__(self, block: GcwBlock, maps: Sequence[IntMatrix]):
         self.block = block
         self.point_group = block.point_group
-        self.coordinates = [_free_coordinates(orders, n)
-                            for orders in block.cells]
+        self.maps = list(maps)
 
     @property
     def modules(self) -> list:
@@ -98,10 +101,8 @@ class CochainComplex:
         return sum((-1) ** d * r for d, r in enumerate(self.flattened_ranks()))
 
     def check_d_squared(self) -> None:
-        diffs = self.block.differentials
-        for d in range(len(diffs) - 1):
-            P = self.coordinates[d + 2][0]
-            if not (P * diffs[d + 1] * diffs[d]).is_zero():
+        for d in range(len(self.maps) - 1):
+            if not (self.maps[d + 1] * self.maps[d]).is_zero():
                 raise ValueError(f"d^2 is nonzero between degrees {d} and {d + 2}")
 
 
@@ -260,53 +261,55 @@ def _build(block: GcwBlock):
                 f"expected {shape[0]}x{shape[1]}")
     if report.findings:
         return report, None
-    complex_ = CochainComplex(block)
+    maps = []
     for d, mat in enumerate(block.differentials):
         try:
             check_equivariance(mat, n)
         except ValueError as exc:
             report.findings.append(f"degree {d}: {exc}")
             continue
-        image = complex_.coordinates[d + 1][0] * mat
-        if any(image.column(c * n) != image.column(c * n + m)
+        folded = _fold(mat, block.cells[d + 1], n)
+        if any(folded.column(c * n) != folded.column(c * n + m)
                for c, m in enumerate(block.cells[d]) if m < n):
             report.findings.append(
                 f"degree {d}: map does not preserve relations")
-    if not report.findings:
-        try:
-            complex_.check_d_squared()
-        except ValueError as exc:
-            report.findings.append(str(exc))
+        keep = [c * n + t for c, m in enumerate(block.cells[d])
+                for t in range(m)]
+        maps.append(IntMatrix(folded.rows, len(keep),
+                              [[row[j] for j in keep] for row in folded.data]))
+    if report.findings:
+        return report, None
+    complex_ = CochainComplex(block, maps)
+    try:
+        complex_.check_d_squared()
+    except ValueError as exc:
+        report.findings.append(str(exc))
     return report, (complex_ if report.ok else None)
 
 
-def _free_coordinates(orders: Sequence[int], n: int):
-    """Projection/section pair identifying a cochain module's flatten with Z^rank.
+def _fold(mat: IntMatrix, target_orders: Sequence[int], n: int) -> IntMatrix:
+    """Project the rows of a flat differential onto freed target coordinates.
 
-    A cell of isotropy order m has flat coordinates t = 0..n-1 and relation
-    rows e_(t+m) - e_t, so t -> t mod m projects its n coordinates onto
-    Z^m with exactly the relation lattice as kernel, and the first m
-    coordinates are a section.
+    A target cell of isotropy order m has relation rows e_(t+m) - e_t, so
+    t -> t mod m sends its n flat coordinates onto Z^m with exactly the
+    relation lattice as kernel: flat row (cell e, eta power t) is added
+    into freed row offset_e + t mod m.  The freed matrix of the map keeps
+    the first m columns of each source cell.
     """
-    rank = sum(orders)
-    dim = len(orders) * n
-    P = [[0] * dim for _ in range(rank)]
-    S = [[0] * rank for _ in range(dim)]
-    offset = 0
-    for c, m in enumerate(orders):
+    rows = []
+    for e, m in enumerate(target_orders):
+        cell_rows = [[0] * mat.cols for _ in range(m)]
         for t in range(n):
-            P[offset + t % m][c * n + t] = 1
-        for t in range(m):
-            S[c * n + t][offset + t] = 1
-        offset += m
-    return IntMatrix(rank, dim, P), IntMatrix(dim, rank, S), rank
+            acc = cell_rows[t % m]
+            for j, x in enumerate(mat.data[e * n + t]):
+                if x:
+                    acc[j] += x
+        rows.extend(cell_rows)
+    return IntMatrix(len(rows), mat.cols, rows)
 
 
 def _freed_action(orders: Sequence[int]) -> IntMatrix:
-    """The eta action in freed coordinates: t -> t + 1 mod m on each cell.
-
-    This is P * shift * S for the ``(P, S)`` of :func:`_free_coordinates`.
-    """
+    """The eta action in freed coordinates: t -> t + 1 mod m on each cell."""
     rank = sum(orders)
     rows = [[0] * rank for _ in range(rank)]
     offset = 0
@@ -320,33 +323,27 @@ def _freed_action(orders: Sequence[int]) -> IntMatrix:
 def cohomology_table(C: CochainComplex) -> CohomologyTable:
     """Cohomology of a cochain complex, with module structure where free.
 
-    Works in freed coordinates: each cochain module is identified with
-    Z^rank once, the differentials and the eta action are transported,
-    and each degree becomes a kernel-modulo-image computation over Z.
+    Works in the complex's freed coordinates, where each degree becomes a
+    kernel-modulo-image computation over Z with the closed-form eta
+    action.
     """
     top = C.top
-    coords = C.coordinates
-    freed_maps = [coords[d + 1][0] * mat * coords[d][1]
-                  for d, mat in enumerate(C.block.differentials)]
-    freed_actions = [_freed_action(orders) for orders in C.block.cells]
-
     entries = {}
-    for d in range(top + 1):
-        rank = coords[d][2]
+    for d, rank in enumerate(C.flattened_ranks()):
         if rank == 0:
             entries[d] = CohomologyEntry(FgAbGroup.trivial(),
                                          FpModule(C.point_group, 0, ()))
             continue
         if d < top:
-            cycles = kernel_lattice(freed_maps[d]).basis
+            cycles = kernel_lattice(C.maps[d])
         else:
             cycles = IntMatrix.identity(rank)
         if d > 0:
-            boundaries = freed_maps[d - 1]
+            boundaries = C.maps[d - 1]
         else:
             boundaries = IntMatrix.zeros(rank, 0)
-        group, action = subquotient_with_action(cycles, boundaries,
-                                                freed_actions[d])
+        group, action = subquotient_with_action(
+            cycles, boundaries, _freed_action(C.block.cells[d]))
         module = None
         if group.is_trivial:
             module = FpModule(C.point_group, 0, ())

@@ -2,7 +2,7 @@
 
 Everything in this module runs on arbitrary-precision Python integers, so
 all results are exact.  It provides Smith normal form with unimodular
-transforms, kernel and column-span lattices, canonical finitely generated
+transforms, kernel lattices, row-echelon lattices, canonical finitely generated
 abelian groups, and exact linear solving.  All higher layers (group-ring
 modules, cochain complexes, the pullback engine) reduce their questions to
 these primitives.
@@ -53,9 +53,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
 
     def column(self, j: int) -> list:
         return [r[j] for r in self.data]
@@ -321,29 +318,13 @@ def smith_with_inverse(A: IntMatrix):
     return diag, IntMatrix(A.rows, A.rows, u), IntMatrix(A.rows, A.rows, uinv)
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """A sublattice of Z^ambient_rank given by Z-independent basis columns."""
-
-    ambient_rank: int
-    basis: IntMatrix
-
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_rank:
-            raise ValueError("basis rows must equal ambient rank")
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-
-def kernel_lattice(A: IntMatrix) -> Lattice:
-    """Basis of the integer kernel {x : A x = 0}; always saturated."""
+def kernel_lattice(A: IntMatrix) -> IntMatrix:
+    """Basis columns of the integer kernel {x : A x = 0}; always saturated."""
     d, _, _, v = _smith(A.to_lists(), A.rows, A.cols, want_v=True)
     limit = min(A.rows, A.cols)
     r = sum(1 for i in range(limit) if d[i][i])
     cols = [[v[i][j] for i in range(A.cols)] for j in range(r, A.cols)]
-    return Lattice(A.cols, IntMatrix.from_columns(A.cols, cols))
+    return IntMatrix.from_columns(A.cols, cols)
 
 
 class RowEchelonLattice:
@@ -426,14 +407,6 @@ def _xgcd(a: int, b: int):
     if g < 0:
         x, y, g = -x, -y, -g
     return g, x, y
-
-
-def column_span_basis(A: IntMatrix) -> Lattice:
-    """Basis of the lattice spanned by the columns of A (exact span)."""
-    lat = RowEchelonLattice(A.rows)
-    for col in A.columns():
-        lat.add(col)
-    return Lattice(A.rows, lat.basis_columns_matrix(A.rows))
 
 
 class LinearSolver:
@@ -568,14 +541,6 @@ class FgAbGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def quotient_group(ambient_rank: int, sub: Lattice) -> FgAbGroup:
-    """Z^ambient_rank modulo the span of ``sub``, in canonical form."""
-    if sub.ambient_rank != ambient_rank:
-        raise ValueError("ambient rank mismatch")
-    diag = smith_diagonal(sub.basis)
-    return FgAbGroup.from_smith_diagonal(ambient_rank, diag)
-
-
 def hom_ext_z(G: FgAbGroup):
     """Hom(G, Z) and Ext(G, Z): the free part and the torsion part."""
     return FgAbGroup.free(G.free_rank), FgAbGroup(0, G.invariant_factors)
@@ -638,11 +603,11 @@ def subquotient_with_action(A_basis: IntMatrix, B_columns: IntMatrix,
     C = solver.solve_matrix(B_columns)
     if C is None:
         raise ValueError("columns do not lie in the given lattice")
+    if action is None:
+        return FgAbGroup.from_smith_diagonal(a, smith_diagonal(C)), None
     diag, U, Uinv = smith_with_inverse(C)
     r = sum(1 for d in diag if d)
     group = FgAbGroup.from_smith_diagonal(a, diag)
-    if action is None:
-        return group, None
     if not group.is_free:
         return group, None
     S = solver.solve_matrix(action * A_basis)

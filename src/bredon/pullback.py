@@ -94,9 +94,6 @@ class BigradedTable:
     def entry(self, p: int, q: int) -> FgAbGroup:
         return self.entries.get((p, q), FgAbGroup.trivial())
 
-    def row(self, p: int) -> dict:
-        return {q: g for (pp, q), g in sorted(self.entries.items()) if pp == p}
-
     def rows_above_zero(self) -> list:
         """Nonzero entries with p >= 1, the obstruction to collapse."""
         return [(p, q, g) for (p, q), g in sorted(self.entries.items()) if p >= 1]
@@ -296,15 +293,6 @@ class PullbackRun:
     final: CohomologyTable
     folds: list
     pair_oracles: list
-
-    def all_pair_oracles_ok(self) -> bool:
-        return all(c.ok for c in self.pair_oracles)
-
-    def all_fold_oracles_ok(self) -> bool:
-        return all(f.oracle.ok for f in self.folds if f.oracle is not None)
-
-    def all_collapse_ok(self) -> bool:
-        return all(f.collapse_ok for f in self.folds)
 
     def failures(self) -> list:
         """One error per failed certificate: folds in order, then pairs."""

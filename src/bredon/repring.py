@@ -23,11 +23,10 @@ from typing import Optional, Sequence
 from .intlinalg import (
     FgAbGroup,
     IntMatrix,
-    Lattice,
     LinearSolver,
     RowEchelonLattice,
     kernel_lattice,
-    quotient_group,
+    smith_diagonal,
     subquotient_with_action,
 )
 
@@ -120,8 +119,8 @@ class FpModule:
     def flatten(self) -> FgAbGroup:
         """The underlying abelian group, canonicalized by Smith reduction."""
         if self._flatten is None:
-            self._flatten = quotient_group(
-                self.flat_dim, Lattice(self.flat_dim, self.relation_columns()))
+            self._flatten = FgAbGroup.from_smith_diagonal(
+                self.flat_dim, smith_diagonal(self.relation_columns()))
         return self._flatten
 
     def pruned(self) -> "FpModule":
@@ -363,8 +362,7 @@ def present_lattice(L: LatticeModule):
             columns.append(powers[t].mul_vector(g))
     evaluation = IntMatrix.from_columns(r, columns)
 
-    kernel = kernel_lattice(evaluation)
-    module = FpModule(group, s, kernel.basis.columns()).pruned()
+    module = FpModule(group, s, kernel_lattice(evaluation).columns()).pruned()
 
     flat = module.flatten()
     if not flat.is_free or flat.free_rank != r:
@@ -381,7 +379,7 @@ def _preimage(matrix: IntMatrix, target: FpModule) -> IntMatrix:
     rel_cols = target.relation_columns()
     stacked = matrix.hstack(rel_cols) if rel_cols.cols else matrix
     span = RowEchelonLattice(matrix.cols)
-    for col in kernel_lattice(stacked).basis.columns():
+    for col in kernel_lattice(stacked).columns():
         span.add(col[:matrix.cols])
     return span.basis_columns_matrix(matrix.cols)
 

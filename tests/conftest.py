@@ -30,6 +30,28 @@ def free_coordinates(module):
     return P, S, dim - r
 
 
+def closed_free_coordinates(orders, n):
+    """Closed-form projection/section pair of a cochain module's flatten.
+
+    A cell of isotropy order m has flat coordinates t = 0..n-1 and relation
+    rows e_(t+m) - e_t, so t -> t mod m projects its n coordinates onto
+    Z^m with exactly the relation lattice as kernel, and the first m
+    coordinates are a section.
+    """
+    rank = sum(orders)
+    dim = len(orders) * n
+    P = [[0] * dim for _ in range(rank)]
+    S = [[0] * rank for _ in range(dim)]
+    offset = 0
+    for c, m in enumerate(orders):
+        for t in range(n):
+            P[offset + t % m][c * n + t] = 1
+        for t in range(m):
+            S[c * n + t][offset + t] = 1
+        offset += m
+    return IntMatrix(rank, dim, P), IntMatrix(dim, rank, S), rank
+
+
 @pytest.fixture(scope="session")
 def pg4():
     return PointGroup(4)

@@ -17,7 +17,7 @@ from bredon.complexes import (
 from bredon.intlinalg import FgAbGroup, IntMatrix, smith_diagonal
 from bredon.pullback import product_block
 from bredon.repring import PointGroup, quotient_by_ideal
-from conftest import free_coordinates
+from conftest import closed_free_coordinates, free_coordinates
 
 
 class TestCatalog:
@@ -131,6 +131,35 @@ class TestValidateBlock:
         assert not report.ok
         assert any("d^2" in f for f in report.findings)
 
+    def test_d_squared_through_isotropy_two_detected(self):
+        # R -> R/(eta^2 - 1) -> R with d0 = id and d1 = 1 + eta^2: d1 kills
+        # the relation, since (1 + eta^2)(eta^2 - 1) = eta^4 - 1 = 0, but
+        # d1 * d0 = 1 + eta^2 is nonzero in the free target
+        pg = PointGroup(4)
+        d1 = IntMatrix.from_columns(
+            4, [[int(i in (t, (t + 2) % 4)) for i in range(4)]
+                for t in range(4)])
+        block = GcwBlock("bad4", pg, 2, ((4,), (2,), (4,)),
+                         (IntMatrix.identity(4), d1))
+        report = validate_block(block)
+        assert report.findings == ["d^2 is nonzero between degrees 0 and 2"]
+
+    def test_flat_d_squared_in_relations_accepted(self):
+        # R -> R/(eta^2 - 1) -> R/(eta^2 - 1) with d0 = id and d1 = eta^2 - 1:
+        # the flat product d1 * d0 is nonzero, but its columns lie in the
+        # relation lattice of the target, so the composite is zero
+        pg = PointGroup(4)
+        d1 = IntMatrix.from_columns(
+            4, [[(i == (t + 2) % 4) - (i == t) for i in range(4)]
+                for t in range(4)])
+        assert not (d1 * IntMatrix.identity(4)).is_zero()
+        block = GcwBlock("ok", pg, 2, ((4,), (2,), (2,)),
+                         (IntMatrix.identity(4), d1))
+        assert validate_block(block).ok
+        table = cohomology_table(bredon_cochain_complex(block))
+        assert [table.group(d) for d in range(3)] == [
+            FgAbGroup.free(2), FgAbGroup.trivial(), FgAbGroup.free(2)]
+
     def test_cochain_complex_rejects_corrupt_block(self):
         pg = PointGroup(4)
         ident = IntMatrix.identity(4)
@@ -149,23 +178,39 @@ class TestEquivarianceOfTables:
 
 
 FLAGSHIP = ("line-minus", "line-minus", "plane-i", "plane-i")
+PRODUCTS = pytest.mark.parametrize(
+    "blocks", [(name,) for name in builtin_block_names()] + [FLAGSHIP],
+    ids="*".join)
 
 
-@pytest.mark.parametrize("blocks", [(name,) for name in builtin_block_names()]
-                         + [FLAGSHIP], ids="*".join)
+@PRODUCTS
+def test_freed_differential_is_transported(blocks):
+    # Each freed map is P * d * S for the closed-form coordinates of its
+    # source and target degrees.
+    block = reduce(product_block, [builtin_block(name) for name in blocks])
+    complex_ = bredon_cochain_complex(block)
+    n = block.point_group.order
+    coords = [closed_free_coordinates(orders, n) for orders in block.cells]
+    assert len(complex_.maps) == len(block.differentials)
+    for d, mat in enumerate(block.differentials):
+        assert complex_.maps[d] == coords[d + 1][0] * mat * coords[d][1]
+
+
+@PRODUCTS
 def test_freed_action_is_transported_shift(blocks):
     # The closed-form action t -> t + 1 mod m is P * shift * S in the
     # closed-form coordinates.  The Smith-based reference (P, S) picks a
     # different basis of the same Z^rank, so the two actions agree after
     # the unimodular change of coordinates W = P * S_closed.
     block = reduce(product_block, [builtin_block(name) for name in blocks])
-    complex_ = bredon_cochain_complex(block)
+    n = block.point_group.order
     for d, orders in enumerate(block.cells):
         module = block_module(block, d)
         P, S, rank = free_coordinates(module)
-        _, S_closed, closed_rank = complex_.coordinates[d]
+        P_closed, S_closed, closed_rank = closed_free_coordinates(orders, n)
         assert closed_rank == rank
         action = _freed_action(orders)
+        assert action == P_closed * module.shift_matrix() * S_closed
         W = P * S_closed
         assert smith_diagonal(W) == [1] * rank
         assert W * action == P * module.shift_matrix() * S * W

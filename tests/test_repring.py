@@ -108,8 +108,8 @@ class TestRestrictionModule:
         restriction = IM.from_rows([[1, 0, 1, 0], [0, 1, 0, 1]])
         kernel = kernel_lattice(restriction)
         rel = restriction_module(PG4, 2).relation_lattice()
-        assert kernel.rank == rel.rank == 2
-        for col in kernel.basis.columns():
+        assert kernel.cols == rel.rank == 2
+        for col in kernel.columns():
             assert rel.contains(col)
 
     def test_augmentation(self):
