@@ -10,7 +10,9 @@ these primitives.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 
@@ -40,7 +42,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
+        return cls(n, n, _eye(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -151,16 +153,22 @@ class SnfDecomposition:
         k = min(self.D.rows, self.D.cols)
         return [self.D.entry(i, i) for i in range(k)]
 
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
+
+def _eye(k: int) -> list:
+    return [[0] * i + [1] + [0] * (k - i - 1) for i in range(k)]
+
+
+def _least(row) -> int:
+    """Least nonzero |entry| of a row; 0 for a zero row."""
+    vals = set(row)
+    vals.discard(0)
+    return min(map(abs, vals), default=0)
 
 
 def _row_sub(rows, i, t, q, start):
     ri, rt = rows[i], rows[t]
-    for j in range(start, len(ri)):
-        x = rt[j]
-        if x:
-            ri[j] -= q * x
+    for j in compress(range(start, len(ri)), rt[start:]):
+        ri[j] -= q * rt[j]
 
 
 def _col_sub(rows, j, t, q):
@@ -179,12 +187,14 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
     lowest (row, col); this makes all transforms reproducible.
     """
     d = data
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if want_u else None
-    uinv = [[int(i == j) for j in range(m)] for i in range(m)] if want_uinv else None
-    v = [[int(i == j) for j in range(n)] for i in range(n)] if want_v else None
+    u = _eye(m) if want_u else None
+    uinv = _eye(m) if want_uinv else None
+    v = _eye(n) if want_v else None
+    low = [_least(r) for r in d]  # exact for the rows below the pivot
 
     def swap_rows(a, b):
         d[a], d[b] = d[b], d[a]
+        low[a], low[b] = low[b], low[a]
         if u is not None:
             u[a], u[b] = u[b], u[a]
         if uinv is not None:
@@ -202,6 +212,7 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
     def row_op(i, t, q, start):
         # row_i -= q * row_t
         _row_sub(d, i, t, q, start)
+        low[i] = _least(d[i])
         if u is not None:
             _row_sub(u, i, t, q, 0)
         if uinv is not None:
@@ -219,32 +230,21 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
                 r[a], r[b] = r[b], r[a]
 
     def col_op(j, t, q):
-        # col_j -= q * col_t
-        _col_sub(d, j, t, q)
+        # col_j -= q * col_t; col_t of d is zero off row t by now
+        d[t][j] -= q * d[t][t]
         if v is not None:
             _col_sub(v, j, t, q)
 
     limit = min(m, n)
     t = 0
     while t < limit:
-        # locate pivot: minimal |entry|, lowest (row, col) on ties
-        piv = None
-        best = None
-        for i in range(t, m):
-            row = d[i]
-            for j in range(t, n):
-                x = row[j]
-                if x:
-                    ax = -x if x < 0 else x
-                    if best is None or ax < best:
-                        best = ax
-                        piv = (i, j)
-                        if ax == 1:
-                            break
-            if best == 1:
-                break
-        if piv is None:
+        # pivot: minimal |entry|, lowest (row, col) on ties.  Rows from t
+        # on are zero left of column t.
+        best = min(filter(None, low[t:]), default=0)
+        if not best:
             break
+        i = low.index(best, t)
+        piv = (i, min(d[i].index(x) for x in (best, -best) if x in d[i]))
         if piv[0] != t:
             swap_rows(piv[0], t)
         if piv[1] != t:
@@ -263,6 +263,7 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
                         row_op(i, t, q, t)
                     if d[i][t]:
                         swap_rows(i, t)
+                        low[i] = _least(d[i])  # col ops may have changed it
                         restart = True
                         break
             if restart:
@@ -279,16 +280,12 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
                         break
             if restart:
                 continue
-            # pivot must divide the remaining block for the invariant chain
-            viol = None
-            for i in range(t + 1, m):
-                row = d[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        viol = i
-                        break
-                if viol is not None:
-                    break
+            if p == 1:
+                break  # a unit pivot divides the remaining block
+            # pivot must divide the remaining block for the invariant chain;
+            # rows below t are zero up to column t, so whole rows are tested
+            viol = next((i for i in range(t + 1, m)
+                         if any(x % p for x in set(d[i]))), None)
             if viol is None:
                 break
             row_op(t, viol, -1, t)
@@ -349,20 +346,17 @@ class RowEchelonLattice:
     def _reduce(self, vec, record=False):
         # Returns remainder after reduction; if record, rows may be combined.
         vec = list(vec)
-        n = self.n
+        n, rows, pivots = self.n, self.rows, self.pivots
         i = 0
-        for j in range(n):
+        for j in compress(range(n), vec):
             x = vec[j]
-            if not x:
-                continue
-            while i < len(self.pivots) and self.pivots[i] < j:
-                i += 1
-            if i < len(self.pivots) and self.pivots[i] == j:
-                row = self.rows[i]
+            i = bisect_left(pivots, j, i)
+            if i < len(pivots) and pivots[i] == j:
+                row = rows[i]
                 a = row[j]
                 if x % a == 0:
                     q = x // a
-                    for k in range(j, n):
+                    for k in compress(range(j, n), row[j:]):
                         vec[k] -= q * row[k]
                 elif not record:
                     return vec
@@ -376,8 +370,8 @@ class RowEchelonLattice:
             elif not record:
                 return vec
             else:
-                self.rows.insert(i, vec)
-                self.pivots.insert(i, j)
+                rows.insert(i, vec)
+                pivots.insert(i, j)
                 return None
         return vec if any(vec) else None
 
@@ -409,28 +403,49 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
+def _sparse_columns(M: IntMatrix) -> list:
+    """Columns of a square matrix, each as (rows, values) of its nonzeros.
+
+    Two tuples per column take less memory than one pair per entry; an
+    empty column is ().
+    """
+    return [tuple(zip(*[(i, x) for i, x in enumerate(col) if x]))
+            for col in zip(*M.data)]
+
+
 class LinearSolver:
-    """Caches a Smith decomposition to solve A x = b repeatedly and exactly."""
+    """Caches a Smith decomposition to solve A x = b repeatedly and exactly.
+
+    U and V are kept as sparse columns, so x = V D^-1 U b costs about
+    nnz(b) * rows rather than rows * cols per right-hand side.
+    """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        self._dec = snf(A)
-        self._diag = self._dec.diagonal()
-        self._rank = sum(1 for d in self._diag if d)
+        dec = snf(A)
+        self._diag = [d for d in dec.diagonal() if d]  # zeros trail
+        self._u_cols = _sparse_columns(dec.U)
+        self._v_cols = _sparse_columns(dec.V)
 
     def solve(self, b: Sequence[int]) -> Optional[list]:
-        dec = self._dec
-        c = dec.U.mul_vector(b)
-        y = [0] * self.A.cols
-        for i in range(self.A.rows):
-            di = self._diag[i] if i < len(self._diag) else 0
-            if di:
-                if c[i] % di:
+        if len(b) != self.A.rows:
+            raise ValueError("vector length mismatch")
+        c = [0] * self.A.rows
+        for bj, col in zip(b, self._u_cols):
+            if bj:
+                for i, u in zip(*col):
+                    c[i] += u * bj
+        if any(c[len(self._diag):]):
+            return None
+        x = [0] * self.A.cols
+        for ci, di, col in zip(c, self._diag, self._v_cols):
+            if ci:
+                yi, rem = divmod(ci, di)
+                if rem:
                     return None
-                y[i] = c[i] // di
-            elif c[i]:
-                return None
-        return dec.V.mul_vector(y)
+                for i, v in zip(*col):
+                    x[i] += v * yi
+        return x
 
     def solve_matrix(self, B: IntMatrix) -> Optional[IntMatrix]:
         cols = []

@@ -89,7 +89,7 @@ class FpModule:
         if self._rel_rows is None:
             n = self.group.order
             self._rel_rows = [row for rel in self.relations
-                              for row in _eta_orbit(rel, self.ngens, n)]
+                              for row in _eta_orbit(rel, n)]
         return self._rel_rows
 
     def relation_lattice(self) -> RowEchelonLattice:
@@ -136,7 +136,7 @@ class FpModule:
             if span.contains(rel):
                 continue
             kept.append(rel)
-            for row in _eta_orbit(rel, self.ngens, n):
+            for row in _eta_orbit(rel, n):
                 span.add(row)
         if len(kept) == len(self.relations):
             return self
@@ -225,13 +225,11 @@ def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
     return FpModule(M.group, g, relations).pruned()
 
 
-def _shift_vector(vec: Sequence[int], ngens: int, n: int) -> list:
-    """Multiplication of a flat vector by eta."""
+def _shift_vector(vec: Sequence[int], n: int) -> list:
+    """Multiplication of a flat vector by eta: rotate every generator block."""
     out = [0] * len(vec)
-    for g in range(ngens):
-        base = g * n
-        for t in range(n):
-            out[base + (t + 1) % n] = vec[base + t]
+    for t in range(n):
+        out[(t + 1) % n::n] = vec[t::n]
     return out
 
 
@@ -245,17 +243,17 @@ def check_equivariance(matrix: IntMatrix, n: int) -> None:
         prev = matrix.column(i * n)
         for t in range(1, n + 1):
             col = matrix.column(i * n + t % n)
-            if col != _shift_vector(prev, matrix.rows // n, n):
+            if col != _shift_vector(prev, n):
                 raise ValueError("map is not eta-equivariant")
             prev = col
 
 
-def _eta_orbit(vec: Sequence[int], ngens: int, n: int):
+def _eta_orbit(vec: Sequence[int], n: int):
     """Yield vec, eta * vec, ..., eta^(n-1) * vec as lists."""
     vec = list(vec)
     yield vec
     for _ in range(n - 1):
-        vec = _shift_vector(vec, ngens, n)
+        vec = _shift_vector(vec, n)
         yield vec
 
 

@@ -76,6 +76,18 @@ class TestSnf:
         dec = snf(IntMatrix.zeros(0, 3))
         assert dec.D.rows == 0 and dec.D.cols == 3
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+        [[0, 3, 0], [0, 0, 2], [1, 0, 0]],
+        [[0, 0, 2], [3, 0, 0], [0, 1, 0]],
+    ])
+    def test_unit_pivot_leaves_later_pivots_fixed(self, rows):
+        # the first pivot is 1 and may skip the divisibility scan; the
+        # pivot 2 after it may not, or the chain would read 1, 2, 3
+        A = IntMatrix.from_rows(rows)
+        assert smith_diagonal(A) == [1, 1, 6]
+        assert check_snf_invariants(A).diagonal() == [1, 1, 6]
+
     @settings(max_examples=300, deadline=None)
     @given(small_matrices())
     def test_invariants_random(self, A):
@@ -160,6 +172,11 @@ class TestSolve:
         A = IntMatrix.from_rows([[2, 1]])
         x = solve_exact(A, [3])
         assert x is not None and 2 * x[0] + x[1] == 3
+
+    @pytest.mark.parametrize("b", [[1], [1, 2, 3]])
+    def test_wrong_length_rejected(self, b):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            LinearSolver(IntMatrix.from_rows([[1, 0], [0, 2]])).solve(b)
 
     @settings(max_examples=100, deadline=None)
     @given(small_matrices(max_dim=4, max_entry=4),

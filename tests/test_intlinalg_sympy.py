@@ -1,0 +1,89 @@
+"""Cross-check of the Smith form and the exact solver against sympy.
+
+The matrices are seeded random ones shaped like the engine's: up to 12 x 12,
+mostly 0 and +-1 entries; every other seed draws many 2, 3 and 4 entries
+too, so that torsion and non-unit pivots are common.  Solvability is decided
+independently of the engine: b lies in the image of A exactly when
+coker A and coker [A | b] have the same invariants (a finitely generated
+abelian group is not isomorphic to a proper quotient of itself).
+"""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy import Matrix  # noqa: E402
+from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
+
+from bredon.intlinalg import (  # noqa: E402
+    IntMatrix,
+    LinearSolver,
+    smith_diagonal,
+    snf,
+)
+
+SEEDS = range(60)
+
+
+def random_matrix(rng, rows, cols, big):
+    """60% zeros; a nonzero entry is +-2, +-3 or +-4 with probability big."""
+    def entry():
+        if rng.random() < 0.6:
+            return 0
+        size = rng.choice((2, 3, 4)) if rng.random() < big else 1
+        return rng.choice((-1, 1)) * size
+    return IntMatrix(rows, cols, [[entry() for _ in range(cols)]
+                                  for _ in range(rows)])
+
+
+def sympy_invariants(A: IntMatrix):
+    """(rank, sorted nonzero invariant factors) of A according to sympy."""
+    if A.rows == 0 or A.cols == 0:
+        return 0, []
+    S = smith_normal_form(Matrix(A.to_lists()))
+    nonzero = sorted(abs(int(S[i, i])) for i in range(min(S.shape)) if S[i, i])
+    for a, b in zip(nonzero, nonzero[1:]):
+        assert b % a == 0, "sympy returned no divisibility chain"
+    return len(nonzero), nonzero
+
+
+def in_image(A: IntMatrix, b):
+    """b in im A, decided from the invariants of coker A and coker [A | b]."""
+    Ab = A.hstack(IntMatrix.from_columns(A.rows, [b]))
+    return sympy_invariants(A) == sympy_invariants(Ab)
+
+
+def cases():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        A = random_matrix(rng, rng.randint(1, 12), rng.randint(1, 12),
+                          0.25 if seed % 2 else 0.75)
+        x0 = [rng.randint(-2, 2) for _ in range(A.cols)]
+        image = A.mul_vector(x0)
+        nudged = list(image)
+        nudged[rng.randrange(A.rows)] += rng.choice((-1, 1, 2))
+        sparse = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(A.rows)]
+        yield seed, A, (image, nudged, sparse)
+
+
+@pytest.mark.parametrize("seed,A,rhs", list(cases()),
+                         ids=[f"seed{s}" for s in SEEDS])
+def test_smith_and_solver_agree_with_sympy(seed, A, rhs):
+    rank, factors = sympy_invariants(A)
+    expected = factors + [0] * (min(A.rows, A.cols) - rank)
+    assert smith_diagonal(A) == expected
+    assert snf(A).diagonal() == expected
+    solver = LinearSolver(A)
+    for b in rhs:
+        x = solver.solve(b)
+        if in_image(A, b):
+            assert x is not None, f"missed a solution of A x = {b}"
+            assert A.mul_vector(x) == b
+        else:
+            assert x is None, f"solved A x = {b}, which has no solution"
+
+
+def test_cases_cover_both_verdicts():
+    verdicts = {in_image(A, b) for _, A, rhs in cases() for b in rhs}
+    assert verdicts == {True, False}
