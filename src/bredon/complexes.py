@@ -37,6 +37,7 @@ from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     kernel_lattice,
+    smith_diagonal,
     subquotient_with_action,
 )
 from .repring import (
@@ -323,32 +324,31 @@ def _freed_action(orders: Sequence[int]) -> IntMatrix:
 def cohomology_table(C: CochainComplex) -> CohomologyTable:
     """Cohomology of a cochain complex, with module structure where free.
 
-    Works in the complex's freed coordinates, where each degree becomes a
-    kernel-modulo-image computation over Z with the closed-form eta
-    action.
+    Works in freed coordinates.  The cycles Z^d are a saturated kernel, so
+    H^d is Z^(m - r_d - r_(d-1)) plus the torsion of the cokernel of the
+    incoming map (m the rank of degree d, r_d that of the map out of it):
+    one Smith diagonal per map gives every group.  Only a free nonzero
+    group needs transforms, for the eta action of its module.
     """
-    top = C.top
+    diagonals = [smith_diagonal(mat) for mat in C.maps]
+    # ranks[d] is the rank of the map out of degree d; the trailing 0
+    # serves both the top degree and, as ranks[-1], degree 0
+    ranks = [sum(1 for x in diag if x) for diag in diagonals] + [0]
     entries = {}
     for d, rank in enumerate(C.flattened_ranks()):
-        if rank == 0:
-            entries[d] = CohomologyEntry(FgAbGroup.trivial(),
-                                         FpModule(C.point_group, 0, ()))
-            continue
-        if d < top:
-            cycles = kernel_lattice(C.maps[d])
-        else:
-            cycles = IntMatrix.identity(rank)
-        if d > 0:
-            boundaries = C.maps[d - 1]
-        else:
-            boundaries = IntMatrix.zeros(rank, 0)
-        group, action = subquotient_with_action(
-            cycles, boundaries, _freed_action(C.block.cells[d]))
+        incoming = diagonals[d - 1] if d > 0 else []
+        group = FgAbGroup(rank - ranks[d] - ranks[d - 1],
+                          tuple(x for x in incoming if x > 1))
         module = None
         if group.is_trivial:
             module = FpModule(C.point_group, 0, ())
-        elif action is not None:
-            lm = LatticeModule(C.point_group, group.free_rank, action)
-            module, _ = present_lattice(lm)
+        elif group.is_free:
+            cycles = (kernel_lattice(C.maps[d]) if d < C.top
+                      else IntMatrix.identity(rank))
+            boundaries = C.maps[d - 1] if d > 0 else IntMatrix.zeros(rank, 0)
+            _, action = subquotient_with_action(
+                cycles, boundaries, _freed_action(C.block.cells[d]))
+            module, _ = present_lattice(
+                LatticeModule(C.point_group, group.free_rank, action))
         entries[d] = CohomologyEntry(group, module)
     return CohomologyTable(C.point_group, entries)

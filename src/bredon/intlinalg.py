@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, groupby
 from typing import Iterable, Optional, Sequence
 
 
@@ -223,7 +223,8 @@ def _smith(data, m, n, want_u=False, want_uinv=False, want_v=False):
                     r[t] += q * x
 
     def swap_cols(a, b):
-        for r in d:
+        # rows above the pivot are zero in every column from t on
+        for r in d[t:]:
             r[a], r[b] = r[b], r[a]
         if v is not None:
             for r in v:
@@ -367,6 +368,13 @@ class RowEchelonLattice:
                         rk, vk = row[k], vec[k]
                         row[k] = s * rk + t * vk
                         vec[k] = -xq * rk + aq * vk
+                    # Hermite-reduce the new row by the rows below it;
+                    # repeated gcd steps blow its entries up otherwise
+                    for below, p in zip(rows[i + 1:], pivots[i + 1:]):
+                        q = row[p] // below[p]
+                        if q:
+                            for k in compress(range(p, n), below[p:]):
+                                row[k] -= q * below[k]
             elif not record:
                 return vec
             else:
@@ -403,48 +411,71 @@ def _xgcd(a: int, b: int):
     return g, x, y
 
 
-def _sparse_columns(M: IntMatrix) -> list:
-    """Columns of a square matrix, each as (rows, values) of its nonzeros.
+def _sparse(col) -> tuple:
+    """A column as (rows, values) of its nonzeros; an empty column is ()."""
+    return tuple(zip(*[(i, x) for i, x in enumerate(col) if x]))
 
-    Two tuples per column take less memory than one pair per entry; an
-    empty column is ().
-    """
-    return [tuple(zip(*[(i, x) for i, x in enumerate(col) if x]))
-            for col in zip(*M.data)]
+
+def _col_combine(cols, k, j, a, b, c, d, start):
+    """(col_k, col_j) <- (a col_k + b col_j, c col_k + d col_j) from row start."""
+    ck, cj = cols[k], cols[j]
+    for i in range(start, len(ck)):
+        x, y = ck[i], cj[i]
+        if x or y:
+            ck[i], cj[i] = a * x + b * y, c * x + d * y
 
 
 class LinearSolver:
-    """Caches a Smith decomposition to solve A x = b repeatedly and exactly.
+    """Solves A x = b repeatedly and exactly from a column echelon form.
 
-    U and V are kept as sparse columns, so x = V D^-1 U b costs about
-    nnz(b) * rows rather than rows * cols per right-hand side.
+    Unimodular column operations, tracked in V, bring A to H = A V in
+    lower echelon form: column k of H is zero above its pivot row, the
+    pivot rows increase, and the columns past the rank are zero.  Then
+    y comes by back-substitution in H and x = V y, both on sparse
+    columns.  A basis already in echelon form, such as one from a
+    :class:`RowEchelonLattice`, needs no column operations.
     """
 
     def __init__(self, A: IntMatrix):
         self.A = A
-        dec = snf(A)
-        self._diag = [d for d in dec.diagonal() if d]  # zeros trail
-        self._u_cols = _sparse_columns(dec.U)
-        self._v_cols = _sparse_columns(dec.V)
+        h = [list(col) for col in zip(*A.data)] or [[] for _ in range(A.cols)]
+        v = _eye(A.cols)  # column k of V is v[k]
+        pivots = []
+        for i in range(A.rows):
+            k = len(pivots)
+            live = [j for j in range(k, A.cols) if h[j][i]]
+            if not live:
+                continue
+            # least |entry| of row i first, so most steps are exact divisions
+            j = min(live, key=lambda j: abs(h[j][i]))
+            h[k], h[j], v[k], v[j] = h[j], h[k], v[j], v[k]
+            for j in live:
+                x, p = h[j][i], h[k][i]
+                if j != k and x:
+                    g, s, t = (p, 1, 0) if x % p == 0 else _xgcd(p, x)
+                    _col_combine(h, k, j, s, t, -(x // g), p // g, i)
+                    _col_combine(v, k, j, s, t, -(x // g), p // g, 0)
+            pivots.append(i)
+        # per pivot: its row, its value, and columns k of H and of V
+        self._steps = [(i, h[k][i], _sparse(h[k]), _sparse(v[k]))
+                       for k, i in enumerate(pivots)]
 
     def solve(self, b: Sequence[int]) -> Optional[list]:
         if len(b) != self.A.rows:
             raise ValueError("vector length mismatch")
-        c = [0] * self.A.rows
-        for bj, col in zip(b, self._u_cols):
-            if bj:
-                for i, u in zip(*col):
-                    c[i] += u * bj
-        if any(c[len(self._diag):]):
-            return None
+        rest = list(b)
         x = [0] * self.A.cols
-        for ci, di, col in zip(c, self._diag, self._v_cols):
-            if ci:
-                yi, rem = divmod(ci, di)
+        for i, p, col, vcol in self._steps:
+            if rest[i]:
+                y, rem = divmod(rest[i], p)
                 if rem:
                     return None
-                for i, v in zip(*col):
-                    x[i] += v * yi
+                for r, h in zip(*col):
+                    rest[r] -= h * y
+                for r, v in zip(*vcol):
+                    x[r] += v * y
+        if any(rest):
+            return None
         return x
 
     def solve_matrix(self, B: IntMatrix) -> Optional[IntMatrix]:
@@ -543,16 +574,9 @@ class FgAbGroup:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        i = 0
-        facs = self.invariant_factors
-        while i < len(facs):
-            j = i
-            while j < len(facs) and facs[j] == facs[i]:
-                j += 1
-            count = j - i
-            parts.append(f"Z/{facs[i]}" if count == 1
-                         else f"(Z/{facs[i]})^{count}")
-            i = j
+        for d, run in groupby(self.invariant_factors):
+            count = len(list(run))
+            parts.append(f"Z/{d}" if count == 1 else f"(Z/{d})^{count}")
         return " ⊕ ".join(parts) if parts else "0"
 
 

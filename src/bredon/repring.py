@@ -18,7 +18,7 @@ consume presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .intlinalg import (
     FgAbGroup,
@@ -27,6 +27,7 @@ from .intlinalg import (
     RowEchelonLattice,
     kernel_lattice,
     smith_diagonal,
+    smith_with_inverse,
     subquotient_with_action,
 )
 
@@ -53,7 +54,7 @@ class FpModule:
     """
 
     __slots__ = ("group", "ngens", "relations", "_rel_rows", "_rel_lattice",
-                 "_flatten", "_shift")
+                 "_flatten", "_coords", "_shift", "_resolution")
 
     def __init__(self, group: PointGroup, ngens: int,
                  relations: Sequence[Sequence[int]] = ()):
@@ -69,7 +70,9 @@ class FpModule:
         self._rel_rows = None
         self._rel_lattice = None
         self._flatten = None
+        self._coords = None
         self._shift = None
+        self._resolution = None
 
     @property
     def flat_dim(self) -> int:
@@ -122,6 +125,30 @@ class FpModule:
             self._flatten = FgAbGroup.from_smith_diagonal(
                 self.flat_dim, smith_diagonal(self.relation_columns()))
         return self._flatten
+
+    def smith_coordinates(self):
+        """The module as Z^c modulo diagonal relations: ``(orders, powers)``.
+
+        A Smith form U L V = D of the relation lattice L splits the
+        flattening into summands Z/d_i; the c with d_i != 1 are kept, and
+        ``orders`` lists their d_i (0 for Z).  ``powers[u]`` is the c x c
+        matrix pi P^u sigma of eta^u: pi the kept rows of U, sigma the kept
+        columns of U^-1, P the flat eta shift.  Cached on the module.
+        """
+        if self._coords is None:
+            dim = self.flat_dim
+            diag, U, Uinv = smith_with_inverse(self.relation_columns())
+            diag += [0] * (dim - len(diag))
+            keep = [i for i, d in enumerate(diag) if d != 1]
+            pi = IntMatrix(len(keep), dim, [U.data[i] for i in keep])
+            sigma = IntMatrix(dim, len(keep),
+                              [[row[i] for i in keep] for row in Uinv.data])
+            powers = []
+            for _ in range(self.group.order):
+                powers.append(pi * sigma)
+                sigma = self.shift_matrix() * sigma
+            self._coords = (tuple(diag[i] for i in keep), powers)
+        return self._coords
 
     def pruned(self) -> "FpModule":
         """Drop relations already in the ring span of earlier ones.
@@ -343,21 +370,16 @@ def present_lattice(L: LatticeModule):
         return orbit.rank
 
     span = RowEchelonLattice(r)
-    chosen = []
+    columns = []  # eta^t e_j, which is column j of powers[t]
     for j in sorted(range(r), key=lambda j: (-orbit_rank(j), j)):
         e = [0] * r
         e[j] = 1
         if span.contains(e):
             continue
-        chosen.append(e)
-        for t in range(n):
-            span.add(powers[t].mul_vector(e))
-    s = len(chosen)
-
-    columns = []
-    for g in chosen:
-        for t in range(n):
-            columns.append(powers[t].mul_vector(g))
+        for power in powers:
+            columns.append(power.column(j))
+            span.add(columns[-1])
+    s = len(columns) // n
     evaluation = IntMatrix.from_columns(r, columns)
 
     module = FpModule(group, s, kernel_lattice(evaluation).columns()).pruned()
@@ -368,14 +390,14 @@ def present_lattice(L: LatticeModule):
     return module, evaluation
 
 
-def _preimage(matrix: IntMatrix, target: FpModule) -> IntMatrix:
-    """Basis of the flat source vectors that ``matrix`` sends to zero in target.
+def _preimage(matrix: IntMatrix, relations: IntMatrix) -> IntMatrix:
+    """Basis of the source vectors that ``matrix`` sends into the span of
+    the columns of ``relations``.
 
-    The kernel of ``[matrix | target relation columns]``, projected onto
-    the source coordinates and re-spanned.
+    The kernel of ``[matrix | relations]``, projected onto the source
+    coordinates and re-spanned.
     """
-    rel_cols = target.relation_columns()
-    stacked = matrix.hstack(rel_cols) if rel_cols.cols else matrix
+    stacked = matrix.hstack(relations) if relations.cols else matrix
     span = RowEchelonLattice(matrix.cols)
     for col in kernel_lattice(stacked).columns():
         span.add(col[:matrix.cols])
@@ -393,7 +415,7 @@ def presentation_kernel(matrix: IntMatrix, target: FpModule):
     ``matrix`` to zero modulo the target relations.
     """
     group = target.group
-    basis = _preimage(matrix, target)
+    basis = _preimage(matrix, target.relation_columns())
     d = basis.cols
     if d == 0:
         return FpModule(group, 0, ()), basis
@@ -411,61 +433,74 @@ def free_resolution_maps(M: FpModule, length: int) -> list:
     Entry 0 is the cover of M by the free module on its generators (the
     identity); entry p >= 1 is the matrix of F_p -> F_(p-1).  Each F_p is
     free on ``matrix.cols // n`` generators.  The list holds ``length + 1``
-    matrices, enough to read off Tor up to degree ``length``.
+    matrices, enough to read off Tor up to degree ``length``.  The
+    resolution is cached on M and only ever extended.
     """
-    maps = [IntMatrix.identity(M.flat_dim)]
-    target = M
-    for _ in range(length):
-        _, inclusion = presentation_kernel(maps[-1], target)
-        target = free_module(M.group, maps[-1].cols // M.group.order)
-        maps.append(inclusion)
-    return maps
+    maps = M._resolution or [IntMatrix.identity(M.flat_dim)]
+    while len(maps) <= length:
+        target = (M if len(maps) == 1 else
+                  free_module(M.group, maps[-2].cols // M.group.order))
+        maps.append(presentation_kernel(maps[-1], target)[1])
+    M._resolution = maps
+    return maps[:length + 1]
 
 
-def homology_of_presented_complex(modules: Sequence[FpModule],
-                                  matrices: Sequence[Optional[IntMatrix]]):
-    """Homology groups of a complex of presented modules.
+def _diagonal_relations(orders: Sequence[int], copies: int) -> IntMatrix:
+    """Relation columns d_i e_i of ``copies`` stacked Smith coordinate blocks."""
+    dim = len(orders) * copies
+    return IntMatrix.from_columns(dim, [
+        [d if r == at else 0 for r in range(dim)]
+        for at, d in enumerate(orders * copies) if d])
 
-    ``matrices[p]`` carries degree p to degree p-1 (``matrices[0]`` is
-    ignored and may be None).  Homology at p is computed for
-    p = 0 .. len(modules)-2, leaving one extra term to supply incoming
-    boundaries at the top computed degree.
+
+def _act(matrix: IntMatrix, powers: Sequence[IntMatrix], n: int) -> IntMatrix:
+    """Matrix of f tensor id_N in N's Smith coordinates.
+
+    ``matrix`` is the flat matrix of a map f of free modules and
+    ``powers[u]`` the coordinate matrix of eta^u on N; the ring entry
+    a(eta) = sum_u a_u eta^u of f in row generator r and column
+    generator i becomes the block sum_u a_u powers[u].
     """
-    out = []
-    for p in range(len(modules) - 1):
-        dim = modules[p].flat_dim
-        if dim == 0:
-            out.append(FgAbGroup.trivial())
-            continue
-        if p == 0:
-            cycles = IntMatrix.identity(dim)
-        else:
-            cycles = _preimage(matrices[p], modules[p - 1])
-        boundary_cols = modules[p].relation_lattice().basis_rows()
-        nxt = matrices[p + 1]
-        if nxt is not None:
-            boundary_cols = boundary_cols + [nxt.column(j) for j in range(nxt.cols)]
-        B = IntMatrix.from_columns(dim, boundary_cols)
-        group, _ = subquotient_with_action(cycles, B)
-        out.append(group)
-    return out
+    c = powers[0].rows
+    gA, gB = matrix.cols // n, matrix.rows // n
+    rows = [[0] * (gA * c) for _ in range(gB * c)]
+    for i in range(gA):
+        base_col = matrix.column(i * n)
+        for r in range(gB):
+            for u, a in enumerate(base_col[r * n:(r + 1) * n]):
+                for s, erow in enumerate(powers[u].data if a else ()):
+                    target = rows[r * c + s]
+                    for t, e in enumerate(erow):
+                        if e:
+                            target[i * c + t] += a * e
+    return IntMatrix(gB * c, gA * c, rows)
 
 
 def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     """Tor_p(M, N) over R(C_n) for p = 0 .. p_max.
 
-    Builds a partial free resolution of M by iterated syzygies, tensors
-    it with N, and takes homology.  Degree 0 always agrees with the
-    flattening of the tensor product.
+    Builds a partial free resolution F of M by iterated syzygies and
+    takes the homology of F tensor N in N's Smith coordinates (see
+    :meth:`FpModule.smith_coordinates`): F_p tensor N is Z^(c * g_p)
+    modulo diagonal relations, for F_p free on g_p generators.  Degree 0
+    always agrees with the flattening of the tensor product.
     """
     if M.group != N.group:
         raise ValueError("point group mismatch in Tor")
     if p_max < 0:
         raise ValueError("p_max must be nonnegative")
-    N = N.pruned()
     n = M.group.order
+    orders, powers = N.smith_coordinates()
     maps = free_resolution_maps(M, p_max + 1)
-    modules = [tensor_over_ring(free_module(M.group, step.cols // n), N)
-               for step in maps]
-    matrices = [None] + [tensor_map_left(step, N.ngens, n) for step in maps[1:]]
-    return homology_of_presented_complex(modules, matrices)
+    relations = [_diagonal_relations(orders, step.cols // n) for step in maps]
+    acting = [None] + [_act(step, powers, n) for step in maps[1:]]
+    out = []
+    for p in range(p_max + 1):
+        if p == 0:
+            cycles = IntMatrix.identity(relations[0].rows)
+        else:
+            cycles = _preimage(acting[p], relations[p - 1])
+        group, _ = subquotient_with_action(
+            cycles, relations[p].hstack(acting[p + 1]))
+        out.append(group)
+    return out

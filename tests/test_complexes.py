@@ -14,9 +14,21 @@ from bredon.complexes import (
     cohomology_table,
     validate_block,
 )
-from bredon.intlinalg import FgAbGroup, IntMatrix, smith_diagonal
+from bredon.intlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    kernel_lattice,
+    smith_diagonal,
+    subquotient_with_action,
+)
 from bredon.pullback import product_block
-from bredon.repring import PointGroup, quotient_by_ideal
+from bredon.repring import (
+    FpModule,
+    LatticeModule,
+    PointGroup,
+    present_lattice,
+    quotient_by_ideal,
+)
 from conftest import closed_free_coordinates, free_coordinates
 
 
@@ -214,3 +226,103 @@ def test_freed_action_is_transported_shift(blocks):
         W = P * S_closed
         assert smith_diagonal(W) == [1] * rank
         assert W * action == P * module.shift_matrix() * S * W
+
+
+def reference_table(complex_):
+    """Every degree by kernel, subquotient and action, as (group, module).
+
+    The route that takes no shortcut: cycles are a kernel basis, the group
+    and the action come from the subquotient by the incoming map, and a
+    free group is presented from its action.
+    """
+    out = {}
+    for d, rank in enumerate(complex_.flattened_ranks()):
+        if d < complex_.top:
+            cycles = kernel_lattice(complex_.maps[d])
+        else:
+            cycles = IntMatrix.identity(rank)
+        boundaries = (complex_.maps[d - 1] if d > 0
+                      else IntMatrix.zeros(rank, 0))
+        group, action = subquotient_with_action(
+            cycles, boundaries, _freed_action(complex_.block.cells[d]))
+        module = None
+        if group.is_trivial:
+            module = FpModule(complex_.point_group, 0, ())
+        elif action is not None:
+            module, _ = present_lattice(
+                LatticeModule(complex_.point_group, group.free_rank, action))
+        out[d] = group, module
+    return out
+
+
+def ring_block(coeffs, n=4):
+    """Flat n x n matrix of multiplication by sum_u coeffs[u] eta^u."""
+    rows = [[0] * n for _ in range(n)]
+    for u, a in enumerate(coeffs):
+        for s in range(n):
+            rows[(u + s) % n][s] += a
+    return rows
+
+
+def flat_map(blocks, n=4):
+    """Assemble a flat differential from a grid of ring blocks (or None)."""
+    rows = []
+    for block_row in blocks:
+        for i in range(n):
+            rows.append([x for b in block_row
+                         for x in (b[i] if b else [0] * n)])
+    return IntMatrix.from_rows(rows)
+
+
+def torsion_block():
+    # Z^4 -> Z^2, doubling onto an isotropy-2 cell: H^0 = Z^2 with eta
+    # as a quarter turn, H^1 = (Z/2)^2, which has no module structure.
+    d0 = flat_map([[ring_block([2])]])
+    return GcwBlock("doubling", PointGroup(4), 1, ((4,), (2,)), (d0,))
+
+
+def boundary_block():
+    # x -> (x, eta x, 0) then (a, b, c) -> eta a - b: degree 1 is a free
+    # group (the c summand, isotropy 2) reached by nonzero boundaries.
+    d0 = flat_map([[ring_block([1])], [ring_block([0, 1])], [None]])
+    d1 = flat_map([[ring_block([0, 1]), ring_block([-1]), None]])
+    return GcwBlock("boundaries", PointGroup(4), 2,
+                    ((4,), (4, 4, 2), (4,)), (d0, d1))
+
+
+def reference_complexes():
+    names = builtin_block_names()
+    blocks = [builtin_block(name) for name in names]
+    blocks += [product_block(builtin_block(a), builtin_block(b))
+               for a in names for b in names]
+    blocks.append(reduce(product_block,
+                         [builtin_block(name) for name in FLAGSHIP]))
+    blocks += [torsion_block(), boundary_block()]
+    return blocks
+
+
+@pytest.mark.parametrize("block", reference_complexes(),
+                         ids=lambda b: b.name)
+def test_diagonal_route_matches_reference(block):
+    complex_ = bredon_cochain_complex(block)
+    table = cohomology_table(complex_)
+    reference = reference_table(complex_)
+    assert table.degrees() == sorted(reference)
+    for d, (group, module) in reference.items():
+        assert table.group(d) == group
+        assert table.module(d) == module
+        if module is not None:
+            assert table.module(d).flatten() == module.flatten() == group
+
+
+def test_hand_blocks_cover_torsion_and_boundaries():
+    torsion = cohomology_table(bredon_cochain_complex(torsion_block()))
+    assert torsion.group(0) == FgAbGroup.free(2)
+    assert torsion.group(1) == FgAbGroup(0, (2, 2))
+    assert torsion.module(1) is None
+    boundary_complex = bredon_cochain_complex(boundary_block())
+    assert not boundary_complex.maps[0].is_zero()
+    boundary = cohomology_table(boundary_complex)
+    assert [boundary.group(d) for d in range(3)] == [
+        FgAbGroup.trivial(), FgAbGroup.free(2), FgAbGroup.trivial()]
+    assert boundary.module(1).flatten() == FgAbGroup.free(2)

@@ -1,0 +1,38 @@
+"""Byte-for-byte regression pin of the flagship machine reports.
+
+``tests/data/vafa_witten.<command>.json`` hold the machine reports of
+``specs/vafa_witten.json`` as the engine printed them before the Smith
+coordinate rewrite of Tor and cohomology.  They pin the reports, they do
+not certify them: the tensor-fold answers they contain still carry the
+known torsion defect (README, "Acceptance status").  A change that moves
+the answer of record (ROADMAP item 1) regenerates these files with the
+same commands and records the move in CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bredon.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+SPEC = ROOT / "specs" / "vafa_witten.json"
+DATA = ROOT / "tests" / "data"
+
+# (report file, command line after the spec, exit code)
+GOLDEN = (
+    ("ktheory", ["ktheory"], 0),
+    ("cohomology", ["cohomology"], 0),
+    ("e2", ["e2", "--tor-depth", "2"], 0),
+    ("verify", ["verify", "--tor-depth", "2", "--full-product-oracle"], 3),
+)
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_flagship_report_is_pinned(tmp_path, name, argv, code):
+    out = tmp_path / f"{name}.json"
+    argv = [argv[0], str(SPEC), *argv[1:], "--format", "machine",
+            "--output", str(out)]
+    assert main(argv) == code
+    expected = (DATA / f"vafa_witten.{name}.json").read_bytes()
+    assert out.read_bytes() == expected

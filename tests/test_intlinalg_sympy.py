@@ -2,7 +2,9 @@
 
 The matrices are seeded random ones shaped like the engine's: up to 12 x 12,
 mostly 0 and +-1 entries; every other seed draws many 2, 3 and 4 entries
-too, so that torsion and non-unit pivots are common.  Solvability is decided
+too, so that torsion and non-unit pivots are common.  The solver also runs
+on tall thin (20 x 6) matrices, on matrices with dependent columns, and on
+matrices with no rows or no columns.  Solvability is decided
 independently of the engine: b lies in the image of A exactly when
 coker A and coker [A | b] have the same invariants (a finitely generated
 abelian group is not isomorphic to a proper quotient of itself).
@@ -87,3 +89,47 @@ def test_smith_and_solver_agree_with_sympy(seed, A, rhs):
 def test_cases_cover_both_verdicts():
     verdicts = {in_image(A, b) for _, A, rhs in cases() for b in rhs}
     assert verdicts == {True, False}
+
+
+def shaped_cases():
+    """Tall thin, dependent-column and empty shapes for the solver."""
+    for seed in range(20):
+        rng = random.Random(1000 + seed)
+        big = 0.25 if seed % 2 else 0.75
+        tall = random_matrix(rng, 20, 6, big)
+        base = random_matrix(rng, 8, 4, big)
+        combos = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(3)]
+        dependent = base.hstack(IntMatrix.from_columns(
+            8, [base.mul_vector(c) for c in combos]))
+        for label, A in (("tall", tall), ("dependent", dependent)):
+            x0 = [rng.randint(-2, 2) for _ in range(A.cols)]
+            image = A.mul_vector(x0)
+            nudged = list(image)
+            nudged[rng.randrange(A.rows)] += rng.choice((-1, 1, 2))
+            sparse = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(A.rows)]
+            yield f"{label}{seed}", A, (image, nudged, sparse)
+    yield "no-rows", IntMatrix(0, 3, []), ([],)
+    yield "no-cols", IntMatrix(3, 0, [[], [], []]), ([0, 0, 0], [0, 1, 0])
+    yield "empty", IntMatrix(0, 0, []), ([],)
+
+
+@pytest.mark.parametrize("label,A,rhs", list(shaped_cases()),
+                         ids=[label for label, _, _ in shaped_cases()])
+def test_solver_on_shaped_matrices(label, A, rhs):
+    solver = LinearSolver(A)
+    for b in rhs:
+        x = solver.solve(b)
+        if in_image(A, b):
+            assert x is not None, f"missed a solution of A x = {b}"
+            assert len(x) == A.cols and A.mul_vector(x) == b
+        else:
+            assert x is None, f"solved A x = {b}, which has no solution"
+
+
+def test_shaped_cases_cover_both_verdicts():
+    verdicts = {label.rstrip("0123456789"): set() for label, _, _
+                in shaped_cases()}
+    for label, A, rhs in shaped_cases():
+        verdicts[label.rstrip("0123456789")] |= {in_image(A, b) for b in rhs}
+    assert verdicts["tall"] == verdicts["dependent"] == {True, False}
+    assert verdicts["no-cols"] == {True, False}

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bredon.complexes import block_module
-from bredon.intlinalg import FgAbGroup, IntMatrix, RowEchelonLattice
+from bredon.intlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    RowEchelonLattice,
+    smith_with_inverse,
+)
 from bredon.repring import (
     FpModule,
     LatticeModule,
@@ -389,3 +394,132 @@ class TestTor:
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
             tor(free_module(PG4, 1), free_module(PG2, 1), 1)
+
+
+def mixed_modules():
+    """Modules whose flattenings mix Z, Z/2 and Z/4."""
+    def cyclic(rel):
+        return FpModule(PG4, 1, [rel])
+    twisted = cyclic([-2, 2, 0, 0])   # R/(2(eta - 1)): Z + (Z/2)^3
+    doubled = cyclic([4, 4, 0, 0])    # R/(4(1 + eta)): Z + (Z/4)^3
+    return {
+        "twisted": twisted,
+        "doubled": doubled,
+        "sum": FpModule(PG4, 2, [[-2, 2, 0, 0, 0, 0, 0, 0],
+                                 [0, 0, 0, 0, 4, 0, 4, 0]]),
+        # (1 + eta) e0 + 2 eta^2 e1: Z^4 + Z/2 with unit Smith orders
+        "coupled": FpModule(PG4, 2, [[1, 1, 0, 0, 0, 0, 2, 0]]),
+        "res2": restriction_module(PG4, 2),
+        "gauss": present_lattice(rotation_module())[0],
+    }
+
+
+def reduce_rows(matrix, orders):
+    """Row i of ``matrix`` modulo orders[i]; rows of order 0 unchanged."""
+    return [[x % d if d else x for x in row]
+            for row, d in zip(matrix.to_lists(), orders)]
+
+
+class TestSmithCoordinates:
+    @pytest.mark.parametrize("name", sorted(mixed_modules()))
+    def test_orders_reproduce_flatten(self, name):
+        M = mixed_modules()[name]
+        orders, powers = M.smith_coordinates()
+        assert 1 not in orders
+        flat = M.flatten()
+        assert len(orders) == flat.free_rank + len(flat.invariant_factors)
+        assert FgAbGroup(orders.count(0),
+                         tuple(sorted(d for d in orders if d))) == flat
+        assert powers[0] == IntMatrix.identity(len(orders))
+
+    @pytest.mark.parametrize("name", sorted(mixed_modules()))
+    def test_powers_are_a_ring_action(self, name):
+        orders, powers = mixed_modules()[name].smith_coordinates()
+        n = len(powers)
+        for u in range(n):
+            for v in range(n):
+                assert (reduce_rows(powers[u] * powers[v], orders)
+                        == reduce_rows(powers[(u + v) % n], orders))
+
+    @pytest.mark.parametrize("name", sorted(mixed_modules()))
+    def test_powers_are_the_transported_shift(self, name):
+        # powers[u] is pi P^u sigma exactly, for pi and sigma the kept rows
+        # of U and columns of U^-1.  (E_1)^u differs from it only by
+        # relations, so no Tor group could tell them apart.
+        M = mixed_modules()[name]
+        diag, U, Uinv = smith_with_inverse(M.relation_columns())
+        diag += [0] * (M.flat_dim - len(diag))
+        keep = [i for i, d in enumerate(diag) if d != 1]
+        pi = IntMatrix(len(keep), M.flat_dim, [U.data[i] for i in keep])
+        sigma = IntMatrix(M.flat_dim, len(keep),
+                          [[row[i] for i in keep] for row in Uinv.data])
+        P = M.shift_matrix()
+        shifted = sigma
+        for power in M.smith_coordinates()[1]:
+            assert power == pi * shifted
+            shifted = P * shifted
+
+    def test_flattening_with_mixed_orders(self):
+        mods = mixed_modules()
+        assert mods["twisted"].flatten() == FgAbGroup(1, (2, 2, 2))
+        assert mods["doubled"].flatten() == FgAbGroup(1, (4, 4, 4))
+        assert mods["sum"].flatten() == FgAbGroup(3, (2, 2, 2, 4, 4))
+        assert mods["coupled"].flatten() == FgAbGroup(4, (2,))
+
+    def test_unit_orders_dropped(self):
+        zero = FpModule(PG4, 1, [[1, 0, 0, 0]])
+        orders, powers = zero.smith_coordinates()
+        assert orders == () and powers[0].rows == 0
+
+
+class TestTorMixedTorsion:
+    def test_degree_zero_is_tensor(self):
+        mods = mixed_modules()
+        for a in mods.values():
+            for b in mods.values():
+                assert tor(a, b, 0) == [tensor_over_ring(a, b).flatten()]
+
+    @pytest.mark.parametrize("pair", [("twisted", "doubled"),
+                                      ("sum", "res2"), ("doubled", "gauss"),
+                                      ("twisted", "twisted"),
+                                      ("coupled", "doubled")])
+    def test_balanced(self, pair):
+        mods = mixed_modules()
+        a, b = mods[pair[0]], mods[pair[1]]
+        assert tor(a, b, 2) == tor(b, a, 2)
+
+    def test_torsion_in_higher_degrees(self):
+        mods = mixed_modules()
+        groups = tor(mods["twisted"], mods["doubled"], 2)
+        assert any(not g.is_trivial for g in groups[1:])
+
+    def test_zero_module(self):
+        zero = FpModule(PG4, 0, ())
+        killed = FpModule(PG4, 1, [[1, 0, 0, 0]])
+        for M in mixed_modules().values():
+            for Z in (zero, killed):
+                assert tor(M, Z, 2) == [FgAbGroup.trivial()] * 3
+                assert tor(Z, M, 2) == [FgAbGroup.trivial()] * 3
+
+    def test_resolution_cached_and_extended(self):
+        M = mixed_modules()["sum"]
+        N = mixed_modules()["doubled"]
+        short = tor(M, N, 0)
+        assert len(M._resolution) == 2
+        assert tor(M, N, 2)[:1] == short
+        assert len(M._resolution) == 4
+        assert tor(M, N, 1) == tor(mixed_modules()["sum"], N, 1)
+
+
+def test_gcd_steps_keep_relation_entries_small():
+    # The eta-orbits of these relations need many gcd steps.  Unreduced,
+    # the echelon basis reached 25-bit entries and Tor_0 then took
+    # minutes; Hermite-reduced rows stay below the determinant.
+    M = FpModule(PG4, 2, [[-3, 1, 2, 2, -3, 2, -3, 0],
+                          [-3, -2, -3, 2, -3, -2, 0, -3]])
+    N = FpModule(PG4, 1, [[-2, -1, -1, 3]])
+    assert M.flatten() == FgAbGroup(0, (16, 9520))
+    assert max(abs(x) for row in M.relation_lattice().rows
+               for x in row) < 16 * 9520
+    assert tor(M, N, 0) == [tensor_over_ring(M, N).flatten()]
+    assert tor(M, N, 0) == [FgAbGroup.cyclic(17)]
