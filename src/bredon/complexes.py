@@ -30,7 +30,9 @@ Built-in catalog:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from .intlinalg import (
@@ -66,9 +68,6 @@ class GcwBlock:
     dimension: int
     cells: tuple
     differentials: tuple
-
-    def cell_orders(self, degree: int) -> tuple:
-        return self.cells[degree] if 0 <= degree <= self.dimension else ()
 
 
 class CochainComplex:
@@ -107,17 +106,26 @@ class CochainComplex:
                 raise ValueError(f"d^2 is nonzero between degrees {d} and {d + 2}")
 
 
-@dataclass
 class CohomologyEntry:
-    group: FgAbGroup
-    module: Optional[FpModule]
+    """A group and, where torsion free, its module: given, or built by
+    ``build`` on the first read of :attr:`module` and cached."""
+
+    def __init__(self, group: FgAbGroup, module=None, build=None):
+        self.group, self._module, self._build = group, module, build
+
+    @property
+    def module(self) -> Optional[FpModule]:
+        if self._build is not None:
+            self._module, self._build = self._build(), None
+        return self._module
 
 
 class CohomologyTable:
     """Degree-indexed cohomology groups with optional module structure.
 
     The module slot is populated exactly when the group is torsion free;
-    it then carries the eta action, ready for further tensoring.
+    it then carries the eta action, ready for further tensoring.  Each
+    module is built on its first read and cached (see CohomologyEntry).
     """
 
     def __init__(self, point_group: PointGroup, entries: dict):
@@ -197,7 +205,7 @@ def builtin_block_summary(name: str) -> str:
 
 
 def block_module(block: GcwBlock, degree: int) -> FpModule:
-    orders = block.cell_orders(degree)
+    orders = block.cells[degree] if 0 <= degree <= block.dimension else ()
     if not orders:
         return FpModule(block.point_group, 0, ())
     return direct_sum_modules(
@@ -269,15 +277,14 @@ def _build(block: GcwBlock):
         except ValueError as exc:
             report.findings.append(f"degree {d}: {exc}")
             continue
-        folded = _fold(mat, block.cells[d + 1], n)
-        if any(folded.column(c * n) != folded.column(c * n + m)
+        columns = _fold(mat, block.cells[d + 1], n).columns()
+        if any(columns[c * n] != columns[c * n + m]
                for c, m in enumerate(block.cells[d]) if m < n):
             report.findings.append(
                 f"degree {d}: map does not preserve relations")
-        keep = [c * n + t for c, m in enumerate(block.cells[d])
-                for t in range(m)]
-        maps.append(IntMatrix(folded.rows, len(keep),
-                              [[row[j] for j in keep] for row in folded.data]))
+        maps.append(IntMatrix.from_columns(sum(block.cells[d + 1]), [
+            columns[c * n + t] for c, m in enumerate(block.cells[d])
+            for t in range(m)]))
     if report.findings:
         return report, None
     complex_ = CochainComplex(block, maps)
@@ -299,13 +306,12 @@ def _fold(mat: IntMatrix, target_orders: Sequence[int], n: int) -> IntMatrix:
     """
     rows = []
     for e, m in enumerate(target_orders):
-        cell_rows = [[0] * mat.cols for _ in range(m)]
-        for t in range(n):
-            acc = cell_rows[t % m]
-            for j, x in enumerate(mat.data[e * n + t]):
-                if x:
-                    acc[j] += x
-        rows.extend(cell_rows)
+        flat = mat.data[e * n:(e + 1) * n]
+        for t in range(m):
+            acc = flat[t]
+            for row in flat[t + m::m]:
+                acc = tuple(map(operator.add, acc, row))
+            rows.append(acc)
     return IntMatrix(len(rows), mat.cols, rows)
 
 
@@ -339,16 +345,22 @@ def cohomology_table(C: CochainComplex) -> CohomologyTable:
         incoming = diagonals[d - 1] if d > 0 else []
         group = FgAbGroup(rank - ranks[d] - ranks[d - 1],
                           tuple(x for x in incoming if x > 1))
-        module = None
-        if group.is_trivial:
-            module = FpModule(C.point_group, 0, ())
-        elif group.is_free:
-            cycles = (kernel_lattice(C.maps[d]) if d < C.top
-                      else IntMatrix.identity(rank))
-            boundaries = C.maps[d - 1] if d > 0 else IntMatrix.zeros(rank, 0)
-            _, action = subquotient_with_action(
-                cycles, boundaries, _freed_action(C.block.cells[d]))
-            module, _ = present_lattice(
-                LatticeModule(C.point_group, group.free_rank, action))
-        entries[d] = CohomologyEntry(group, module)
+        entries[d] = CohomologyEntry(
+            group, build=partial(_cohomology_module, C, d, group))
     return CohomologyTable(C.point_group, entries)
+
+
+def _cohomology_module(C: CochainComplex, d: int, group: FgAbGroup):
+    """The module of H^d (None for torsion), built on its first read."""
+    if group.is_trivial:
+        return FpModule(C.point_group, 0, ())
+    if not group.is_free:
+        return None
+    rank = sum(C.block.cells[d])
+    cycles = (kernel_lattice(C.maps[d]) if d < C.top
+              else IntMatrix.identity(rank))
+    boundaries = C.maps[d - 1] if d > 0 else IntMatrix.zeros(rank, 0)
+    _, action = subquotient_with_action(
+        cycles, boundaries, _freed_action(C.block.cells[d]))
+    return present_lattice(
+        LatticeModule(C.point_group, group.free_rank, action))[0]

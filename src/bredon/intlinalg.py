@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, groupby
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -51,7 +52,7 @@ class IntMatrix:
     @classmethod
     def from_columns(cls, ambient: int, columns: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(ambient, len(columns),
-                   [[col[i] for col in columns] for i in range(ambient)])
+                   zip(*columns) if columns else [()] * ambient)
 
     def entry(self, i: int, j: int) -> int:
         return self.data[i][j]
@@ -60,15 +61,13 @@ class IntMatrix:
         return [r[j] for r in self.data]
 
     def columns(self) -> list:
-        return [[r[j] for r in self.data] for j in range(self.cols)]
+        return list(map(list, zip(*self.data))) or [[] for _ in range(self.cols)]
 
     def to_lists(self) -> list:
         return [list(r) for r in self.data]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
+        return IntMatrix(self.cols, self.rows, self.columns())
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in r) for r in self.data)
@@ -97,16 +96,16 @@ class IntMatrix:
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in multiplication")
-        out = [[0] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    orow = odata[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
+        # the nonzeros of each row as (column, value), found at C level
+        sparse = [list(zip(compress(range(other.cols), r), filter(None, r)))
+                  for r in other.data]
+        out = []
+        for row in self.data:
+            acc = [0] * other.cols
+            for k, a in zip(compress(range(self.cols), row), filter(None, row)):
+                for j, b in sparse[k]:
+                    acc[j] += a * b
+            out.append(acc)
         return IntMatrix(self.rows, other.cols, out)
 
     def mul_vector(self, vec: Sequence[int]) -> list:
@@ -321,8 +320,7 @@ def kernel_lattice(A: IntMatrix) -> IntMatrix:
     d, _, _, v = _smith(A.to_lists(), A.rows, A.cols, want_v=True)
     limit = min(A.rows, A.cols)
     r = sum(1 for i in range(limit) if d[i][i])
-    cols = [[v[i][j] for i in range(A.cols)] for j in range(r, A.cols)]
-    return IntMatrix.from_columns(A.cols, cols)
+    return IntMatrix(A.cols, A.cols - r, [row[r:] for row in v])
 
 
 class RowEchelonLattice:
@@ -556,17 +554,16 @@ class FgAbGroup:
         return not self.invariant_factors
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
-        rank = self.free_rank + sum(g.free_rank for g in others)
-        factors = list(self.invariant_factors)
-        for g in others:
-            factors.extend(g.invariant_factors)
-        if not factors:
-            return FgAbGroup(rank, ())
-        # re-canonicalize the combined torsion via Smith form of a diagonal
-        k = len(factors)
-        diag = [[factors[i] if i == j else 0 for j in range(k)] for i in range(k)]
-        chain = smith_diagonal(IntMatrix(k, k, diag))
-        return FgAbGroup(rank, tuple(d for d in chain if d > 1))
+        groups = (self,) + others
+        factors = [d for g in groups for d in g.invariant_factors]
+        # Z/a + Z/b = Z/gcd + Z/lcm; then factors[i] divides all later ones
+        for i in range(len(factors)):
+            for j in range(i + 1, len(factors)):
+                a, b = factors[i], factors[j]
+                factors[i] = g = gcd(a, b)
+                factors[j] = a // g * b
+        return FgAbGroup(sum(g.free_rank for g in groups),
+                         tuple(d for d in factors if d > 1))
 
     def __str__(self) -> str:
         parts = []

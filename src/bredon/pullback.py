@@ -208,11 +208,9 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
         rows = [[0] * (len(cells[t]) * n) for _ in range(len(cells[t + 1]) * n)]
 
         def install(piece: IntMatrix, row_off: int, col_off: int):
-            for r, row in enumerate(piece.data):
-                target = rows[row_off + r]
-                for c, val in enumerate(row):
-                    if val:
-                        target[col_off + c] = val
+            # each (target, source) pair of blocks gets at most one piece
+            for r, row in enumerate(piece.data, row_off):
+                rows[r][col_off:col_off + piece.cols] = row
 
         for i, j in pairs[t]:
             col_off = offsets[t][i, j]
@@ -323,9 +321,13 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
     Certificate failures are recorded, not raised; use
     :func:`compute_pullback_cohomology` for the strict contract.
     """
-    complexes = [bredon_cochain_complex(b) for b in spec.blocks]
-    tables = [cohomology_table(c) for c in complexes]
+    # one cochain complex and table per distinct block
+    built = {b: bredon_cochain_complex(b) for b in dict.fromkeys(spec.blocks)}
+    table_of = {b: cohomology_table(c) for b, c in built.items()}
+    complexes = [built[b] for b in spec.blocks]
+    tables = [table_of[b] for b in spec.blocks]
 
+    pairs = {}  # (X, Y) -> the tensor and product-complex tables of X, Y
     folds = []
     acc = tables[0]
     acc_complex = complexes[0] if spec.full_product_oracle else None
@@ -337,20 +339,23 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
         acc = kunneth_tensor(acc, tables[k])
         if acc_complex is not None:
             acc_complex = product_complex(acc_complex, complexes[k])
+            product = cohomology_table(acc_complex)
+            if k == 1:
+                pairs[spec.blocks[0], spec.blocks[1]] = acc, product
             record.oracle = _compare_tables(
-                f"fold {k} (+{spec.blocks[k].name})",
-                acc, cohomology_table(acc_complex))
+                f"fold {k} (+{spec.blocks[k].name})", acc, product)
         folds.append(record)
 
     pair_oracles = []
     if spec.oracle_check:
         for k in range(len(spec.blocks) - 1):
-            label = f"pair ({spec.blocks[k].name}, {spec.blocks[k + 1].name})"
-            pair_complex = product_complex(complexes[k], complexes[k + 1])
+            key = spec.blocks[k], spec.blocks[k + 1]
+            if key not in pairs:
+                pairs[key] = (kunneth_tensor(tables[k], tables[k + 1]),
+                              cohomology_table(product_complex(
+                                  complexes[k], complexes[k + 1])))
             pair_oracles.append(_compare_tables(
-                label,
-                kunneth_tensor(tables[k], tables[k + 1]),
-                cohomology_table(pair_complex)))
+                f"pair ({key[0].name}, {key[1].name})", *pairs[key]))
 
     return PullbackRun(spec, tables, acc, folds, pair_oracles)
 

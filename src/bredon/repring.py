@@ -263,16 +263,16 @@ def _shift_vector(vec: Sequence[int], n: int) -> list:
 def check_equivariance(matrix: IntMatrix, n: int) -> None:
     """Raise unless the flat matrix commutes with eta.
 
-    Columns must satisfy col(i, t+1) = eta * col(i, t); checking columns
-    avoids forming full matrix products.
+    Rows must satisfy row(e, t+1) = eta * row(e, t), the same equations as
+    col(i, t+1) = eta * col(i, t); rows need no transpose and no product.
     """
-    for i in range(matrix.cols // n):
-        prev = matrix.column(i * n)
+    for e in range(matrix.rows // n):
+        prev = matrix.data[e * n]
         for t in range(1, n + 1):
-            col = matrix.column(i * n + t % n)
-            if col != _shift_vector(prev, n):
+            row = matrix.data[e * n + t % n]
+            if list(row) != _shift_vector(prev, n):
                 raise ValueError("map is not eta-equivariant")
-            prev = col
+            prev = row
 
 
 def _eta_orbit(vec: Sequence[int], n: int):

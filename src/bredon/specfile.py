@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 from .complexes import GcwBlock, builtin_block, builtin_block_names, validate_block
@@ -43,6 +44,7 @@ from .repring import PointGroup
 
 FORMATS = ("human", "machine")
 MAX_POINT_GROUP_ORDER = 64
+MAX_PRODUCT_CELLS = 20_000
 
 
 class SpecParseError(Exception):
@@ -191,6 +193,9 @@ def parse_spec(text: str) -> SpecDocument:
             blocks.append(_parse_custom_block(entry, pg, loc))
         else:
             raise SpecParseError("block must be a catalog name or an object", loc)
+    _expect(prod(sum(map(len, b.cells)) for b in blocks) <= MAX_PRODUCT_CELLS,
+            f"the product of the blocks' cell-orbit counts exceeds the limit "
+            f"MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}", "$.blocks")
 
     options = SpecOptions()
     opt_obj = doc.get("options", {})

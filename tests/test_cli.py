@@ -1,13 +1,22 @@
 """Specification parsing and the command line front end."""
 
+import itertools
 import json
+import pathlib
+import time
+from math import prod
 
 import pytest
 
 from bredon.cli import main
 from bredon.complexes import builtin_block
 from bredon.pullback import MAX_TOR_DEPTH
-from bredon.specfile import MAX_POINT_GROUP_ORDER, SpecParseError, parse_spec
+from bredon.specfile import (
+    MAX_POINT_GROUP_ORDER,
+    MAX_PRODUCT_CELLS,
+    SpecParseError,
+    parse_spec,
+)
 
 VW_SPEC = json.dumps({
     "point_group_order": 4,
@@ -15,6 +24,9 @@ VW_SPEC = json.dumps({
 })
 
 POINT_SPEC = json.dumps({"point_group_order": 4, "blocks": ["point"]})
+
+FLAGSHIP_SPEC = (pathlib.Path(__file__).resolve().parents[1]
+                 / "specs" / "vafa_witten.json")
 
 
 def line_block_json():
@@ -288,3 +300,38 @@ class TestSpecLimits:
             argv = ["cohomology", path]
         assert main(argv) == 2
         assert "MAX_TOR_DEPTH = 8" in capsys.readouterr().err
+
+    def test_product_cells_within_limit(self):
+        # the flagship, Z^8 and Z^10 (the 6-block spec) are all admitted
+        for planes, cells in ((2, 324), (3, 1944), (4, 11664)):
+            doc = parse_spec(json.dumps({
+                "point_group_order": 4,
+                "blocks": ["line-minus"] * 2 + ["plane-i"] * planes}))
+            assert prod(sum(map(len, b.cells)) for b in doc.blocks) == cells
+
+    def test_product_cells_over_limit(self, spec_file, capsys):
+        path = spec_file(json.dumps({"point_group_order": 4,
+                                     "blocks": ["plane-i"] * 12}))
+        start = time.perf_counter()
+        assert main(["ktheory", path]) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"MAX_PRODUCT_CELLS = {MAX_PRODUCT_CELLS}"
+                in capsys.readouterr().err)
+
+
+def test_answer_does_not_depend_on_block_order(spec_file, capsys):
+    keys = ("cohomology", "k_theory", "k_homology")
+
+    def report(path):
+        assert main(["ktheory", path, "--format", "machine"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        return {key: payload[key] for key in keys}
+
+    expected = report(str(FLAGSHIP_SPEC))
+    blocks = json.loads(FLAGSHIP_SPEC.read_text())["blocks"]
+    orders = sorted(set(itertools.permutations(blocks)))
+    assert len(orders) == 6
+    for order in orders:
+        path = spec_file(json.dumps({"point_group_order": 4,
+                                     "blocks": list(order)}))
+        assert report(path) == expected, order

@@ -19,6 +19,7 @@ from sympy import Matrix  # noqa: E402
 from sympy.matrices.normalforms import smith_normal_form  # noqa: E402
 
 from bredon.intlinalg import (  # noqa: E402
+    FgAbGroup,
     IntMatrix,
     LinearSolver,
     smith_diagonal,
@@ -133,3 +134,32 @@ def test_shaped_cases_cover_both_verdicts():
         verdicts[label.rstrip("0123456789")] |= {in_image(A, b) for b in rhs}
     assert verdicts["tall"] == verdicts["dependent"] == {True, False}
     assert verdicts["no-cols"] == {True, False}
+
+
+# Coprime orders, which must merge (Z/2 + Z/3 = Z/6), and powers of one
+# prime, which must stack (Z/2 + Z/4 stays as it is).
+TORSION_ORDERS = (2, 3, 4, 5, 8, 9, 12, 25, 27, 36)
+
+
+def direct_sum_cases():
+    yield "fixed", [FgAbGroup.cyclic(d) for d in (2, 3, 4, 9, 12, 25)]
+    for seed in range(40):
+        rng = random.Random(2000 + seed)
+        yield f"seed{seed}", [
+            FgAbGroup(rng.randint(0, 2), (rng.choice(TORSION_ORDERS),))
+            for _ in range(rng.randint(1, 7))]
+
+
+@pytest.mark.parametrize("label,parts", list(direct_sum_cases()),
+                         ids=[label for label, _ in direct_sum_cases()])
+def test_direct_sum_matches_sympy_smith_form(label, parts):
+    # the canonical torsion of a sum is the Smith form of the diagonal
+    # matrix of its summands' torsion orders
+    orders = [d for g in parts for d in g.invariant_factors]
+    diagonal = IntMatrix(len(orders), len(orders), [
+        [d if i == j else 0 for j in range(len(orders))]
+        for i, d in enumerate(orders)])
+    _, factors = sympy_invariants(diagonal)
+    total = parts[0].direct_sum(*parts[1:])
+    assert total == FgAbGroup(sum(g.free_rank for g in parts),
+                              tuple(d for d in factors if d > 1))

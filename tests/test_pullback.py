@@ -294,3 +294,49 @@ class TestPipeline:
     def test_at_least_one_block_required(self, pg4):
         with pytest.raises(ValueError):
             PullbackSpec(pg4, ())
+
+
+class TestCertificateWork:
+    """The certificates compute each input once, and only what they read."""
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_product_oracle_builds_no_product_module(
+            self, monkeypatch, pg4, line_block, plane_block):
+        import bredon.complexes
+
+        calls = self.count_calls(monkeypatch, bredon.complexes,
+                                 "present_lattice")
+        blocks = (line_block, line_block, plane_block, plane_block)
+        run_pullback(PullbackSpec(pg4, blocks))
+        plain = len(calls)
+        calls.clear()
+        run = run_pullback(PullbackSpec(pg4, blocks, oracle_check=True,
+                                        full_product_oracle=True))
+        assert len(run.pair_oracles) == 3
+        assert all(r.oracle is not None for r in run.folds)
+        # the fold reads the block modules; the product tables are read
+        # only for their groups, so none of their modules gets built
+        assert plain > 0
+        assert len(calls) == plain
+
+    def test_one_cochain_complex_per_distinct_block(
+            self, monkeypatch, pg4, line_block, plane_block):
+        import bredon.pullback
+
+        calls = self.count_calls(monkeypatch, bredon.pullback,
+                                 "bredon_cochain_complex")
+        run = run_pullback(PullbackSpec(
+            pg4, (line_block, line_block, plane_block, plane_block)))
+        assert [args[0] for args in calls] == [line_block, plane_block]
+        assert run.block_tables[0] is run.block_tables[1]
+        assert run.block_tables[2] is run.block_tables[3]
