@@ -16,6 +16,7 @@ Machine reports are deterministic: fixed key order, no timestamps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -293,6 +294,7 @@ def _blocks_command(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bredon",
                      description="exact Bredon cohomology and equivariant "

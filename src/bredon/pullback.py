@@ -119,7 +119,8 @@ def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
     Every degree-k entry is the direct sum over i + j = k of the tensor
     product of the degree-i and degree-j modules.  Both inputs must carry
     module structure on all nonzero entries; the output keeps modules so
-    it can be folded again.
+    it can be folded again.  Each sum carries its pieces' echelons and its
+    group is the sum of their flattenings: each is Smith-reduced alone.
     """
     if HX.point_group != HY.point_group:
         raise ValueError("point group mismatch in tensor fold")
@@ -136,7 +137,9 @@ def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
             MY = _require_module(HY, j, "right")
             pieces.append(tensor_over_ring(MX, MY))
         if pieces:
-            module = direct_sum_modules(pieces).pruned()
+            module = direct_sum_modules(pieces)
+            module._flatten = FgAbGroup.direct_sum(
+                *(piece.flatten() for piece in pieces))
         else:
             module = FpModule(group, 0, ())
         entries[k] = CohomologyEntry(module.flatten(), module)

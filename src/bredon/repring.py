@@ -155,6 +155,8 @@ class FpModule:
 
         The flattened relation lattice is unchanged, so this presents the
         same module; it just keeps tensor constructions from snowballing.
+        The result carries the echelon built on the way: the one
+        :meth:`relation_lattice` would build from the kept relations.
         """
         n = self.group.order
         span = RowEchelonLattice(self.flat_dim)
@@ -165,9 +167,10 @@ class FpModule:
             kept.append(rel)
             for row in _eta_orbit(rel, n):
                 span.add(row)
-        if len(kept) == len(self.relations):
-            return self
-        return FpModule(self.group, self.ngens, kept)
+        out = (self if len(kept) == len(self.relations)
+               else FpModule(self.group, self.ngens, kept))
+        out._rel_lattice = span
+        return out
 
 
 def free_module(group: PointGroup, k: int) -> FpModule:
@@ -207,22 +210,33 @@ def quotient_by_ideal(M: FpModule, k: int) -> FpModule:
 
 
 def direct_sum_modules(mods: Sequence[FpModule]) -> FpModule:
-    """Direct sum, with generators concatenated in the given order."""
+    """Direct sum, with generators concatenated in the given order.
+
+    If every summand with relations carries its echelon, so does the sum:
+    their rows padded, pivots shifted, which is row for row the fresh
+    echelon, as a summand's rows never reduce against another's.
+    """
     if not mods:
         raise ValueError("empty direct sum needs an explicit point group")
     group = mods[0].group
     total = sum(m.flat_dim for m in mods)
     relations = []
+    lattice = RowEchelonLattice(total)
     offset = 0
     for m in mods:
         if m.group != group:
             raise ValueError("point group mismatch in direct sum")
-        for rel in m.relations:
-            padded = [0] * total
-            padded[offset:offset + len(rel)] = rel
-            relations.append(padded)
+        head, tail = [0] * offset, [0] * (total - offset - m.flat_dim)
+        relations += [head + list(rel) + tail for rel in m.relations]
+        if m.relations and m._rel_lattice is None:
+            lattice = None  # built on demand
+        elif m.relations and lattice is not None:
+            lattice.rows += [head + row + tail for row in m._rel_lattice.rows]
+            lattice.pivots += [p + offset for p in m._rel_lattice.pivots]
         offset += m.flat_dim
-    return FpModule(group, sum(m.ngens for m in mods), relations)
+    out = FpModule(group, sum(m.ngens for m in mods), relations)
+    out._rel_lattice = lattice
+    return out
 
 
 def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
@@ -230,7 +244,7 @@ def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
 
     Generators are pairs (i, j) ordered with the M index major; relations
     are every M-relation against each N-generator and every N-relation
-    against each M-generator.
+    against each M-generator, pruned, so the result carries its echelon.
     """
     if M.group != N.group:
         raise ValueError("point group mismatch in tensor product")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import strategies as st
 
 from bredon import (
     IntMatrix,
@@ -8,6 +9,17 @@ from bredon import (
     cohomology_table,
 )
 from bredon.intlinalg import smith_with_inverse
+from bredon.repring import FpModule
+
+
+def small_modules(order=4, max_coord=3):
+    """Presented modules with up to two generators and two relations."""
+    def build(ngens):
+        row = st.lists(st.integers(-max_coord, max_coord),
+                       min_size=ngens * order, max_size=ngens * order)
+        return st.lists(row, max_size=2).map(
+            lambda rels: FpModule(PointGroup(order), ngens, rels))
+    return st.integers(1, 2).flatmap(build)
 
 
 def free_coordinates(module):

@@ -208,6 +208,22 @@ class TestCli:
     def test_usage_exit_code(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_cached_parser_keeps_no_state_between_calls(self, spec_file,
+                                                        capsys):
+        # the parser is built once per process; a good call, a bad one and
+        # a good one again must each parse as if on a fresh parser
+        path = spec_file(POINT_SPEC)
+        argv = ["ktheory", path, "--format", "machine"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(["ktheory", path, "--tor-depth", "many"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: bredon ktheory")
+        assert "invalid int value: 'many'" in captured.err
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_verify_single_block_passes(self, spec_file, capsys):
         path = spec_file(POINT_SPEC)
         assert main(["verify", path]) == 0

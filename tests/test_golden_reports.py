@@ -1,8 +1,9 @@
-"""Byte-for-byte regression pin of the flagship machine reports.
+"""Byte-for-byte regression pin of the flagship reports.
 
 ``tests/data/vafa_witten.<command>.json`` hold the machine reports of
 ``specs/vafa_witten.json`` as the engine printed them before the Smith
-coordinate rewrite of Tor and cohomology.  They pin the reports, they do
+coordinate rewrite of Tor and cohomology, and ``.txt`` beside them the
+human reports of the same command lines.  They pin the reports, they do
 not certify them: the tensor-fold answers they contain still carry the
 known torsion defect (README, "Acceptance status").  A change that moves
 the answer of record (ROADMAP item 1) regenerates these files with the
@@ -35,4 +36,14 @@ def test_flagship_report_is_pinned(tmp_path, name, argv, code):
             "--output", str(out)]
     assert main(argv) == code
     expected = (DATA / f"vafa_witten.{name}.json").read_bytes()
+    assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("name,argv,code", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_flagship_human_report_is_pinned(tmp_path, name, argv, code):
+    out = tmp_path / f"{name}.txt"
+    argv = [argv[0], str(SPEC), *argv[1:], "--format", "human",
+            "--output", str(out)]
+    assert main(argv) == code
+    expected = (DATA / f"vafa_witten.{name}.txt").read_bytes()
     assert out.read_bytes() == expected

@@ -5,7 +5,10 @@ import itertools
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import small_modules
 from bredon.complexes import (
     CohomologyEntry,
     CohomologyTable,
@@ -15,7 +18,12 @@ from bredon.complexes import (
     cohomology_table,
     validate_block,
 )
-from bredon.intlinalg import FgAbGroup, IntMatrix, smith_diagonal
+from bredon.intlinalg import (
+    FgAbGroup,
+    IntMatrix,
+    RowEchelonLattice,
+    smith_diagonal,
+)
 from bredon.pullback import (
     CollapseFailureError,
     PullbackSpec,
@@ -27,7 +35,15 @@ from bredon.pullback import (
     product_complex,
     run_pullback,
 )
-from bredon.repring import direct_sum_modules, quotient_by_ideal, tensor_over_ring
+from bredon.repring import (
+    FpModule,
+    direct_sum_modules,
+    quotient_by_ideal,
+    tensor_over_ring,
+)
+
+FLAGSHIP_ORDERS = sorted(set(itertools.permutations(
+    ("line-minus", "line-minus", "plane-i", "plane-i"))))
 
 VW_TABLE = {
     0: FgAbGroup(42, (2,) * 15),
@@ -97,6 +113,15 @@ class TestProductComplex:
         pc.check_d_squared()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_modules(), min_size=1, max_size=3))
+def test_sum_of_pruned_modules_is_pruned(mods):
+    # why the fold does not prune its sums: the summands' coordinates are
+    # disjoint, so no relation of one lies in the span of the others
+    S = direct_sum_modules([M.pruned() for M in mods])
+    assert S.pruned().relations == S.relations
+
+
 class TestProductBlock:
     def test_catalog_pairs_follow_the_gcd_rule(self):
         # each product module must present the same module as the ring
@@ -162,6 +187,28 @@ class TestKunneth:
         right = kunneth_tensor(line_table,
                                kunneth_tensor(line_table, plane_table))
         assert left.groups_equal(right)
+
+    @pytest.mark.parametrize("order", FLAGSHIP_ORDERS, ids="-".join)
+    def test_fold_sums_the_pieces(self, order, line_table, plane_table):
+        # every fold entry is the plain sum of its pieces, with the group
+        # a fresh flattening of that sum would give
+        tables = [{"line-minus": line_table, "plane-i": plane_table}[name]
+                  for name in order]
+        acc = tables[0]
+        for table in tables[1:]:
+            out = kunneth_tensor(acc, table)
+            for k in range(out.max_degree() + 1):
+                module = out.module(k)
+                pieces = [tensor_over_ring(acc.module(i), table.module(k - i))
+                          for i in range(k + 1) if not acc.group(i).is_trivial
+                          and not table.group(k - i).is_trivial]
+                fresh = FpModule(module.group, module.ngens, module.relations)
+                assert out.group(k) == fresh.flatten()
+                if pieces:
+                    assert module == direct_sum_modules(pieces).pruned()
+                else:
+                    assert module.ngens == 0
+            acc = out
 
     def test_torsion_obstruction(self, line_table, pg4):
         torsion_only = CohomologyTable(pg4, {
@@ -328,6 +375,26 @@ class TestCertificateWork:
         # only for their groups, so none of their modules gets built
         assert plain > 0
         assert len(calls) == plain
+
+    def test_fold_echelons_no_direct_sum_from_scratch(
+            self, monkeypatch, pg4, line_block, plane_block):
+        added = []  # the lattice of every add call, kept alive for id()
+        add = RowEchelonLattice.add
+
+        def counting(lattice, vec):
+            added.append(lattice)
+            add(lattice, vec)
+        monkeypatch.setattr(RowEchelonLattice, "add", counting)
+        run = run_pullback(PullbackSpec(
+            pg4, (line_block, line_block, plane_block, plane_block)))
+        touched = {id(lattice) for lattice in added}
+        # the fold's sums carry echelons assembled from their pieces'
+        for entry in run.final.entries.values():
+            module = entry.module
+            assert module._rel_lattice is not None
+            assert id(module._rel_lattice) not in touched
+        # 1,652 adds when each piece was echelonned three times
+        assert len(added) <= 612
 
     def test_one_cochain_complex_per_distinct_block(
             self, monkeypatch, pg4, line_block, plane_block):

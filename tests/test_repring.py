@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_modules
 from bredon.complexes import block_module
 from bredon.intlinalg import (
     FgAbGroup,
@@ -16,6 +17,7 @@ from bredon.repring import (
     LatticeModule,
     PointGroup,
     check_equivariance,
+    direct_sum_modules,
     free_module,
     present_lattice,
     presentation_kernel,
@@ -43,16 +45,6 @@ def module_catalog():
         "sign": present_lattice(
             LatticeModule(PG4, 1, IntMatrix.from_rows([[-1]])))[0],
     }
-
-
-def small_modules(order=4, max_coord=3):
-    """Presented modules with up to two generators and two relations."""
-    def build(ngens):
-        row = st.lists(st.integers(-max_coord, max_coord),
-                       min_size=ngens * order, max_size=ngens * order)
-        return st.lists(row, max_size=2).map(
-            lambda rels: FpModule(PointGroup(order), ngens, rels))
-    return st.integers(1, 2).flatmap(build)
 
 
 def test_package_exports_resolve():
@@ -158,6 +150,73 @@ class TestFreeAndFlatten:
         P = M.pruned()
         assert len(P.relations) == 1
         assert P.flatten() == M.flatten()
+
+
+def assert_fresh_echelon(module):
+    """The module's relation echelon is row for row the one that adding
+    its relation rows to an empty lattice builds."""
+    fresh = RowEchelonLattice(module.flat_dim)
+    for row in module.relation_rows():
+        fresh.add(row)
+    got = module.relation_lattice()
+    assert (got.rows, got.pivots) == (fresh.rows, fresh.pivots)
+
+
+def eta_times(rel, n):
+    """eta * rel: every generator block rotated by one place."""
+    return tuple(rel[i - i % n + (i - 1) % n] for i in range(len(rel)))
+
+
+class TestEchelonHandOver:
+    """Pruning and direct sums hand on the relation echelon they hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_modules())
+    def test_pruned_carries_a_fresh_echelon(self, M):
+        P = M.pruned()
+        n = M.group.order
+        kept = FpModule(M.group, M.ngens, P.relations)
+        # a zero row and eta times a kept relation are always dropped
+        extra = ((0,) * M.flat_dim,) + tuple(
+            eta_times(rel, n) for rel in P.relations[:1])
+        padded = FpModule(M.group, M.ngens, P.relations + extra)
+        assert kept.pruned() is kept
+        assert padded.pruned() is not padded
+        assert padded.pruned().relations == P.relations
+        for Q in (P, kept.pruned(), padded.pruned()):
+            assert Q._rel_lattice is not None
+            assert_fresh_echelon(Q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(small_modules(), min_size=1, max_size=3), st.data())
+    def test_direct_sum_assembles_a_fresh_echelon(self, mods, data):
+        # pruned summands with one and two generators, and a free summand
+        # with no relations and no echelon of its own
+        parts = [M.pruned() for M in mods]
+        at = data.draw(st.integers(0, len(parts)))
+        parts.insert(at, free_module(PG4, data.draw(st.integers(0, 2))))
+        S = direct_sum_modules(parts)
+        assert S._rel_lattice is not None
+        assert_fresh_echelon(S)
+
+    def test_direct_sum_without_summand_echelon_stays_lazy(self):
+        # a summand whose echelon was never built leaves the sum's to be
+        # built on demand, and does not get its own built
+        lazy = restriction_module(PG4, 2)
+        parts = [tensor_over_ring(lazy, lazy), lazy, free_module(PG4, 1)]
+        S = direct_sum_modules(parts)
+        assert lazy._rel_lattice is None
+        assert S._rel_lattice is None
+        assert_fresh_echelon(S)
+
+    def test_handed_over_echelon_is_not_shared(self):
+        # the sum's rows are its own: growing them leaves the summand alone
+        P = tensor_over_ring(restriction_module(PG4, 2),
+                             restriction_module(PG4, 1))
+        rows = [list(r) for r in P.relation_lattice().rows]
+        S = direct_sum_modules([P, P])
+        S.relation_lattice().add([1] * S.flat_dim)
+        assert P.relation_lattice().rows == rows
 
 
 class TestTensor:
