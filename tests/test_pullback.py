@@ -393,7 +393,7 @@ class TestCertificateWork:
             module = entry.module
             assert module._rel_lattice is not None
             assert id(module._rel_lattice) not in touched
-        # 1,652 adds when each piece was echelonned three times
+        # each piece's relations are echelonned once
         assert len(added) <= 612
 
     def test_one_cochain_complex_per_distinct_block(

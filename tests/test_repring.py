@@ -210,12 +210,13 @@ class TestEchelonHandOver:
         assert_fresh_echelon(S)
 
     def test_handed_over_echelon_is_not_shared(self):
-        # the sum's rows are its own: growing them leaves the summand alone
-        P = tensor_over_ring(restriction_module(PG4, 2),
-                             restriction_module(PG4, 1))
+        # the sum's rows are its own: a gcd step that rewrites one of them
+        # leaves the summand's echelon alone
+        P = FpModule(PG4, 1, ((2, 0, 0, 0),)).pruned()
         rows = [list(r) for r in P.relation_lattice().rows]
-        S = direct_sum_modules([P, P])
-        S.relation_lattice().add([1] * S.flat_dim)
+        S = direct_sum_modules([P, free_module(PG4, 1)])
+        S.relation_lattice().add([1] + [0] * 7)
+        assert S.relation_lattice().rows[0][0] == 1
         assert P.relation_lattice().rows == rows
 
 
