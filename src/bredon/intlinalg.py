@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
 from typing import Iterable, Optional, Sequence
@@ -302,9 +303,53 @@ def snf(A: IntMatrix) -> SnfDecomposition:
 
 
 def smith_diagonal(A: IntMatrix) -> list:
-    """Diagonal of the Smith form, without computing transforms."""
-    d, _, _, _ = _smith(A.to_lists(), A.rows, A.cols)
-    return [d[i][i] for i in range(min(A.rows, A.cols))]
+    """Diagonal of the Smith form, without computing transforms.
+
+    Unit pivots go first, on a sparse copy: a +-1 entry of the sparsest
+    column, in its shortest row, clears its column by row operations and
+    splits off a 1 (clearing its row then touches no other row).  The
+    rows and columns still nonzero after that go to the dense reduction.
+    """
+    m, n = A.rows, A.cols
+    rows = [dict(zip(compress(range(n), r), filter(None, r))) for r in A.data]
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    heap = [(len(c), j) for j, c in enumerate(cols) if c]
+    heapify(heap)
+    units = 0
+    while heap:
+        size, j = heappop(heap)
+        live = cols[j]
+        if size != len(live):
+            continue  # stale; the column was pushed again when it changed
+        piv = min((i for i in live if rows[i][j] in (1, -1)),
+                  key=lambda i: (len(rows[i]), i), default=None)
+        if piv is None:
+            continue  # pushed again if a row operation changes it
+        prow = rows[piv]
+        s = prow[j]
+        for i in live - {piv}:
+            row, q = rows[i], rows[i][j] * s
+            for k, y in prow.items():
+                x = row.get(k, 0) - q * y
+                if x:
+                    row[k] = x
+                    cols[k].add(i)
+                else:
+                    del row[k]
+                    cols[k].discard(i)
+        for k in prow:
+            cols[k].discard(piv)
+            heappush(heap, (len(cols[k]), k))
+        rows[piv] = {}
+        units += 1
+    keep = [j for j in range(n) if cols[j]]
+    rest = [[row.get(j, 0) for j in keep] for row in rows if row]
+    d, _, _, _ = _smith(rest, len(rest), len(keep))
+    diag = [1] * units + [d[i][i] for i in range(min(len(rest), len(keep)))]
+    return diag + [0] * (min(m, n) - len(diag))
 
 
 def smith_with_inverse(A: IntMatrix):
@@ -555,13 +600,16 @@ class FgAbGroup:
 
     def direct_sum(self, *others: "FgAbGroup") -> "FgAbGroup":
         groups = (self,) + others
-        factors = [d for g in groups for d in g.invariant_factors]
-        # Z/a + Z/b = Z/gcd + Z/lcm; then factors[i] divides all later ones
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                a, b = factors[i], factors[j]
-                factors[i] = g = gcd(a, b)
-                factors[j] = a // g * b
+        factors = sorted(d for g in groups for d in g.invariant_factors)
+        # a sorted divisibility chain (every 2-primary sum) is canonical
+        # already; else Z/a + Z/b = Z/gcd + Z/lcm, after which factors[i]
+        # divides all later ones
+        if any(b % a for a, b in zip(factors, factors[1:])):
+            for i in range(len(factors)):
+                for j in range(i + 1, len(factors)):
+                    a, b = factors[i], factors[j]
+                    factors[i] = g = gcd(a, b)
+                    factors[j] = a // g * b
         return FgAbGroup(sum(g.free_rank for g in groups),
                          tuple(d for d in factors if d > 1))
 

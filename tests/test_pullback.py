@@ -23,6 +23,7 @@ from bredon.intlinalg import (
     IntMatrix,
     RowEchelonLattice,
     smith_diagonal,
+    snf,
 )
 from bredon.pullback import (
     CollapseFailureError,
@@ -341,6 +342,30 @@ class TestPipeline:
     def test_at_least_one_block_required(self, pg4):
         with pytest.raises(ValueError):
             PullbackSpec(pg4, ())
+
+    def test_engine_smith_inputs_match_the_dense_diagonal(
+            self, monkeypatch, pg4, line_block, plane_block):
+        # the relation columns of every fold piece (repring flattens them)
+        # and every freed differential (complexes), as the certified
+        # flagship run meets them
+        import bredon.complexes
+        import bredon.repring
+
+        inputs = {}
+        for module in (bredon.complexes, bredon.repring):
+            seen = inputs[module.__name__] = []
+
+            def recording(A, seen=seen):
+                seen.append(A)
+                return smith_diagonal(A)
+            monkeypatch.setattr(module, "smith_diagonal", recording)
+        run_pullback(PullbackSpec(
+            pg4, (line_block, line_block, plane_block, plane_block),
+            tor_depth=2, oracle_check=True, full_product_oracle=True))
+        assert all(inputs.values())
+        for seen in inputs.values():
+            for A in seen:
+                assert smith_diagonal(A) == snf(A).diagonal()
 
 
 class TestCertificateWork:
