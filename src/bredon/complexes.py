@@ -2,17 +2,18 @@
 
 A block records the equivariant cell structure of one semidirect-product
 building space over the cyclic point group: per degree, a list of cell
-orbits each carrying the order of its isotropy group, plus the flat
-differential matrices, with n coordinates 1, eta, ..., eta^(n-1) per cell.
-The cochain module in degree d is the direct sum of one restriction
-module R(C_m) = R(C_n)/(eta^m - 1) per cell, whose underlying group is
-Z^m.  Cochains are computed in these freed coordinates, Z^(sum of the
-isotropy orders): each flat differential is folded once onto them, and
-cohomology is computed degreewise by exact integer linear algebra,
-together with the induced eta action on every torsion-free cohomology
-group.
+orbits each carrying the order of its isotropy group, plus the
+differentials.  The cochain module in degree d is the direct sum of one
+restriction module R(C_m) = R(C_n)/(eta^m - 1) per cell, whose underlying
+group is Z^m with coordinates 1, eta, ..., eta^(m-1).  The differentials
+are integer matrices in these freed coordinates, and cohomology is
+computed degreewise by exact integer linear algebra, together with the
+induced eta action on every torsion-free cohomology group.  Inline spec
+blocks give flat differentials, n coordinates per cell, which
+:func:`block_from_flat` folds once at parse.
 
-Built-in catalog:
+Built-in catalog, written freed: an incidence c from cell v to cell e is
+c times the restriction eta^t -> eta^(t mod m_e) on the coordinates of v.
 
 ``line-minus``
     The real line, point group of order 4 acting through the sign of the
@@ -58,9 +59,9 @@ class GcwBlock:
     """Equivariant cell data of one building block.
 
     ``cells[d]`` lists the isotropy order of each degree-d cell orbit;
-    ``differentials[d]`` is the flattened matrix from the degree-d cochain
-    module to degree d+1.  Every cell contributes ``point_group.order``
-    flat coordinates regardless of its isotropy order.
+    ``differentials[d]`` is the freed matrix from the degree-d cochain
+    module to degree d+1, of shape ``sum(cells[d+1]) x sum(cells[d])``: a
+    cell of isotropy order m holds the coordinates 1, eta, ..., eta^(m-1).
     """
 
     name: str
@@ -75,15 +76,14 @@ class CochainComplex:
 
     Cochains live in freed coordinates: degree d is Z^(sum of the
     isotropy orders of its cells), a cell of order m holding the
-    coordinates 1, eta, ..., eta^(m-1).  ``maps[d]`` is the freed matrix
-    of the block's flat ``differentials[d]`` (see :func:`_fold`).  Build
-    it through :func:`bredon_cochain_complex`, which validates.
+    coordinates 1, eta, ..., eta^(m-1).  Its maps are the block's
+    differentials.  Build it through :func:`bredon_cochain_complex`,
+    which validates.
     """
 
-    def __init__(self, block: GcwBlock, maps: Sequence[IntMatrix]):
+    def __init__(self, block: GcwBlock):
         self.block = block
         self.point_group = block.point_group
-        self.maps = list(maps)
 
     @property
     def modules(self) -> list:
@@ -99,11 +99,6 @@ class CochainComplex:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in enumerate(self.flattened_ranks()))
-
-    def check_d_squared(self) -> None:
-        for d in range(len(self.maps) - 1):
-            if not (self.maps[d + 1] * self.maps[d]).is_zero():
-                raise ValueError(f"d^2 is nonzero between degrees {d} and {d + 2}")
 
 
 class CohomologyEntry:
@@ -165,32 +160,20 @@ _CATALOG_DOC = {
 }
 
 
-def _incidence_differential(n: int, n_source: int, n_target: int,
-                            incidence: Sequence[dict]) -> IntMatrix:
-    # One coefficient per (target cell, source cell); the same unit pattern
-    # repeats across the eta powers because every coefficient map is a
-    # coordinate projection between cyclic presentations.
-    rows = [[0] * (n_source * n) for _ in range(n_target * n)]
-    for e, spec in enumerate(incidence):
-        for v, coeff in spec.items():
-            for t in range(n):
-                rows[e * n + t][v * n + t] = coeff
-    return IntMatrix(n_target * n, n_source * n, rows)
-
-
 def builtin_block(name: str) -> GcwBlock:
     """One of the catalog blocks: line-minus, plane-i, or point."""
     pg = PointGroup(4)
-    n = pg.order
     if name == "line-minus":
-        cells = ((4, 4), (2,))
-        d0 = _incidence_differential(n, 2, 1, [{0: 1, 1: -1}])
-        return GcwBlock(name, pg, 1, cells, (d0,))
+        # the edge has isotropy 2: each vertex restricts by t -> t mod 2
+        d0 = IntMatrix.from_rows([[1, 0, 1, 0, -1, 0, -1, 0],
+                                  [0, 1, 0, 1, 0, -1, 0, -1]])
+        return GcwBlock(name, pg, 1, ((4, 4), (2,)), (d0,))
     if name == "plane-i":
-        cells = ((4, 4, 2), (1, 1), (1,))
-        d0 = _incidence_differential(n, 3, 2, [{0: -1, 1: 1}, {1: -1, 2: 1}])
-        d1 = _incidence_differential(n, 2, 1, [{}])
-        return GcwBlock(name, pg, 2, cells, (d0, d1))
+        # free edges O -> B and B -> M: restriction to a free cell sums
+        d0 = IntMatrix.from_rows([[-1, -1, -1, -1, 1, 1, 1, 1, 0, 0],
+                                  [0, 0, 0, 0, -1, -1, -1, -1, 1, 1]])
+        return GcwBlock(name, pg, 2, ((4, 4, 2), (1, 1), (1,)),
+                        (d0, IntMatrix.zeros(1, 2)))
     if name == "point":
         return GcwBlock(name, pg, 0, ((4,),), ())
     raise KeyError(f"unknown block {name!r}; catalog: {sorted(_CATALOG_DOC)}")
@@ -214,10 +197,10 @@ def block_module(block: GcwBlock, degree: int) -> FpModule:
 
 def bredon_cochain_complex(block: GcwBlock) -> CochainComplex:
     """Assemble and validate the cochain complex of a block."""
-    report, complex_ = _build(block)
+    report = _check(block)
     if not report.ok:
         raise ValueError("invalid block data: " + "; ".join(report.findings))
-    return complex_
+    return CochainComplex(block)
 
 
 @dataclass
@@ -233,66 +216,88 @@ class BlockReport:
 
 
 def validate_block(block: GcwBlock) -> BlockReport:
-    """Check divisors, shapes, equivariance, relations and d^2 = 0."""
-    return _build(block)[0]
+    """Check divisors, shapes, eta-commutation and d^2 = 0."""
+    return _check(block)
 
 
-def _build(block: GcwBlock):
-    """The validation report and, for a clean block, its cochain complex.
+def _divisor_findings(cells: Sequence[Sequence[int]], n: int) -> list:
+    return [f"degree {d}: isotropy order {m} does not divide {n}"
+            for d, orders in enumerate(cells) for m in orders
+            if m < 1 or n % m]
 
-    Given equivariance, a map out of R/(eta^m - 1) is well defined exactly
-    when the projected columns t = 0 and t = m of each cell agree: every
-    relation row is an eta-shift of e_m - e_0.
+
+def _check(block: GcwBlock) -> BlockReport:
+    """The validation report of a block.
+
+    A freed matrix is a module map exactly when it commutes with eta; on
+    the last column of a cell of order m, where t -> t + 1 mod m wraps
+    around, that says the map preserves the relation eta^m - 1.
     """
     report = BlockReport(block.name)
-    n = block.point_group.order
     if len(block.cells) != block.dimension + 1:
         report.findings.append(
             f"expected cell lists for degrees 0..{block.dimension}")
-        return report, None
-    for d, orders in enumerate(block.cells):
-        for m in orders:
-            if m < 1 or n % m:
-                report.findings.append(
-                    f"degree {d}: isotropy order {m} does not divide {n}")
+        return report
+    report.findings += _divisor_findings(block.cells, block.point_group.order)
     if report.findings:
-        return report, None
+        return report
     if len(block.differentials) != block.dimension:
         report.findings.append(
             f"expected {block.dimension} differentials, "
             f"got {len(block.differentials)}")
-        return report, None
-    for d, mat in enumerate(block.differentials):
-        shape = (len(block.cells[d + 1]) * n, len(block.cells[d]) * n)
-        if (mat.rows, mat.cols) != shape:
+        return report
+    actions = [_freed_action(orders) for orders in block.cells]
+    maps = block.differentials
+    for d, (mat, src, tgt) in enumerate(zip(maps, actions, actions[1:])):
+        if (mat.rows, mat.cols) != (tgt.rows, src.cols):
             report.findings.append(
                 f"degree {d}: differential is {mat.rows}x{mat.cols}, "
-                f"expected {shape[0]}x{shape[1]}")
+                f"expected {tgt.rows}x{src.cols}")
+        elif mat * src != tgt * mat:
+            report.findings.append(f"degree {d}: map does not commute with eta")
     if report.findings:
-        return report, None
+        return report
+    for d in range(len(maps) - 1):
+        if not (maps[d + 1] * maps[d]).is_zero():
+            report.findings.append(
+                f"d^2 is nonzero between degrees {d} and {d + 2}")
+            break
+    return report
+
+
+def block_from_flat(name: str, point_group: PointGroup,
+                    cells: Sequence[tuple],
+                    flat: Sequence[IntMatrix]) -> GcwBlock:
+    """A validated block from flat differentials, the inline-spec format.
+
+    A flat differential has n coordinates 1, eta, ..., eta^(n-1) per cell
+    whatever its isotropy order, n the point-group order; the caller checks
+    its shape.  It must commute with eta and send each source relation
+    eta^m - 1 into the target's relations; :func:`_fold` then gives its
+    freed matrix.  Raises ValueError naming every finding.
+    """
+    n = point_group.order
+    findings = _divisor_findings(cells, n)
     maps = []
-    for d, mat in enumerate(block.differentials):
+    for d, mat in enumerate(() if findings else flat):
         try:
             check_equivariance(mat, n)
         except ValueError as exc:
-            report.findings.append(f"degree {d}: {exc}")
+            findings.append(f"degree {d}: {exc}")
             continue
-        columns = _fold(mat, block.cells[d + 1], n).columns()
+        columns = _fold(mat, cells[d + 1], n).columns()
         if any(columns[c * n] != columns[c * n + m]
-               for c, m in enumerate(block.cells[d]) if m < n):
-            report.findings.append(
-                f"degree {d}: map does not preserve relations")
-        maps.append(IntMatrix.from_columns(sum(block.cells[d + 1]), [
-            columns[c * n + t] for c, m in enumerate(block.cells[d])
+               for c, m in enumerate(cells[d]) if m < n):
+            findings.append(f"degree {d}: map does not preserve relations")
+        maps.append(IntMatrix.from_columns(sum(cells[d + 1]), [
+            columns[c * n + t] for c, m in enumerate(cells[d])
             for t in range(m)]))
-    if report.findings:
-        return report, None
-    complex_ = CochainComplex(block, maps)
-    try:
-        complex_.check_d_squared()
-    except ValueError as exc:
-        report.findings.append(str(exc))
-    return report, (complex_ if report.ok else None)
+    block = GcwBlock(name, point_group, len(cells) - 1, tuple(cells),
+                     tuple(maps))
+    findings = findings or validate_block(block).findings
+    if findings:
+        raise ValueError("; ".join(findings))
+    return block
 
 
 def _fold(mat: IntMatrix, target_orders: Sequence[int], n: int) -> IntMatrix:
@@ -336,7 +341,7 @@ def cohomology_table(C: CochainComplex) -> CohomologyTable:
     one Smith diagonal per map gives every group.  Only a free nonzero
     group needs transforms, for the eta action of its module.
     """
-    diagonals = [smith_diagonal(mat) for mat in C.maps]
+    diagonals = [smith_diagonal(mat) for mat in C.block.differentials]
     # ranks[d] is the rank of the map out of degree d; the trailing 0
     # serves both the top degree and, as ranks[-1], degree 0
     ranks = [sum(1 for x in diag if x) for diag in diagonals] + [0]
@@ -357,9 +362,10 @@ def _cohomology_module(C: CochainComplex, d: int, group: FgAbGroup):
     if not group.is_free:
         return None
     rank = sum(C.block.cells[d])
-    cycles = (kernel_lattice(C.maps[d]) if d < C.top
+    cycles = (kernel_lattice(C.block.differentials[d]) if d < C.top
               else IntMatrix.identity(rank))
-    boundaries = C.maps[d - 1] if d > 0 else IntMatrix.zeros(rank, 0)
+    boundaries = (C.block.differentials[d - 1] if d > 0
+                  else IntMatrix.zeros(rank, 0))
     _, action = subquotient_with_action(
         cycles, boundaries, _freed_action(C.block.cells[d]))
     return present_lattice(

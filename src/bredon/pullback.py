@@ -16,6 +16,7 @@ held and what did not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import gcd
 from typing import Optional
 
@@ -32,8 +33,6 @@ from .repring import (
     FpModule,
     PointGroup,
     direct_sum_modules,
-    tensor_map_left,
-    tensor_map_right,
     tensor_over_ring,
     tor,
 )
@@ -136,13 +135,12 @@ def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
             MX = _require_module(HX, i, "left")
             MY = _require_module(HY, j, "right")
             pieces.append(tensor_over_ring(MX, MY))
-        if pieces:
-            module = direct_sum_modules(pieces)
-            module._flatten = FgAbGroup.direct_sum(
-                *(piece.flatten() for piece in pieces))
-        else:
-            module = FpModule(group, 0, ())
-        entries[k] = CohomologyEntry(module.flatten(), module)
+        # pruned() gives the empty module its echelon, as every sum has
+        module = (direct_sum_modules(pieces) if pieces
+                  else FpModule(group, 0, ()).pruned())
+        module._flatten = FgAbGroup.trivial().direct_sum(
+            *(piece.flatten() for piece in pieces))
+        entries[k] = CohomologyEntry(module._flatten, module)
     return CohomologyTable(group, entries)
 
 
@@ -186,48 +184,55 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
     cell of Y with i + j = t, ordered by i, then the X cell, then the Y
     cell.  A pair's isotropy order is gcd(a, b), because
     R/(eta^a - 1) tensor R/(eta^b - 1) = R/(eta^gcd(a, b) - 1).  The
-    differential follows d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy.
+    differential follows d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy: where
+    dx holds c eta^s on a cell x' of order a', the coordinate eta^u of
+    x (x) y maps to c eta^((s + u) mod gcd(a', b)) on x' (x) y.
     """
     if X.point_group != Y.point_group:
         raise ValueError("point group mismatch in product block")
-    n = X.point_group.order
     top = X.dimension + Y.dimension
-    pairs = [[(i, t - i) for i in range(max(0, t - Y.dimension),
-                                        min(X.dimension, t) + 1)]
+    pairs = [[(i, x, a, t - i, y, b)
+              for i in range(max(0, t - Y.dimension), min(X.dimension, t) + 1)
+              for x, a in enumerate(X.cells[i])
+              for y, b in enumerate(Y.cells[t - i])]
              for t in range(top + 1)]
-    cells = tuple(tuple(gcd(a, b) for i, j in pairs[t]
-                        for a in X.cells[i] for b in Y.cells[j])
-                  for t in range(top + 1))
-    offsets = []
-    for t in range(top + 1):
-        offs, pos = {}, 0
-        for i, j in pairs[t]:
-            offs[i, j] = pos
-            pos += len(X.cells[i]) * len(Y.cells[j]) * n
-        offsets.append(offs)
+    cells = tuple(tuple(gcd(a, b) for _, _, a, _, _, b in pairs_t)
+                  for pairs_t in pairs)
+    # the first freed coordinate of each pair
+    start = {(i, x, j, y): pos for pairs_t, orders in zip(pairs, cells)
+             for (i, x, _, j, y, _), pos
+             in zip(pairs_t, accumulate(orders, initial=0))}
+    left = [_boundary_terms(X, i) for i in range(X.dimension)]
+    right = [_boundary_terms(Y, j) for j in range(Y.dimension)]
 
     differentials = []
     for t in range(top):
-        rows = [[0] * (len(cells[t]) * n) for _ in range(len(cells[t + 1]) * n)]
-
-        def install(piece: IntMatrix, row_off: int, col_off: int):
-            # each (target, source) pair of blocks gets at most one piece
-            for r, row in enumerate(piece.data, row_off):
-                rows[r][col_off:col_off + piece.cols] = row
-
-        for i, j in pairs[t]:
-            col_off = offsets[t][i, j]
-            if i < X.dimension:
-                install(tensor_map_left(X.differentials[i], len(Y.cells[j]), n),
-                        offsets[t + 1][i + 1, j], col_off)
-            if j < Y.dimension:
-                install(tensor_map_right(Y.differentials[j], len(X.cells[i]), n,
-                                         -1 if i % 2 else 1),
-                        offsets[t + 1][i, j + 1], col_off)
+        rows = [[0] * sum(cells[t]) for _ in range(sum(cells[t + 1]))]
+        for i, x, a, j, y, b in pairs[t]:
+            # (first target row, target order, eta power, coefficient)
+            terms = [(start[i + 1, e, j, y], gcd(X.cells[i + 1][e], b), s, c)
+                     for e, s, c in (left[i][x] if i < X.dimension else ())]
+            terms += [(start[i, x, j + 1, e], gcd(a, Y.cells[j + 1][e]),
+                       s, (-1) ** i * c)
+                      for e, s, c in (right[j][y] if j < Y.dimension else ())]
+            col = start[i, x, j, y]
+            for u in range(gcd(a, b)):
+                for row, g, s, c in terms:
+                    rows[row + (s + u) % g][col + u] += c
         differentials.append(
-            IntMatrix(len(cells[t + 1]) * n, len(cells[t]) * n, rows))
+            IntMatrix(sum(cells[t + 1]), sum(cells[t]), rows))
     return GcwBlock(f"{X.name}*{Y.name}", X.point_group, top, cells,
                     tuple(differentials))
+
+
+def _boundary_terms(block: GcwBlock, d: int) -> list:
+    """Per degree-d cell: (target cell, eta power, c) of its first column."""
+    targets = [(e, s) for e, m in enumerate(block.cells[d + 1])
+               for s in range(m)]
+    columns = block.differentials[d].columns()
+    firsts = list(accumulate(block.cells[d], initial=0))[:-1]
+    return [[(e, s, c) for (e, s), c in zip(targets, columns[k]) if c]
+            for k in firsts]
 
 
 def product_complex(CX: CochainComplex, CY: CochainComplex) -> CochainComplex:

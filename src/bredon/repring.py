@@ -298,45 +298,6 @@ def _eta_orbit(vec: Sequence[int], n: int):
         yield vec
 
 
-def tensor_map_left(matrix: IntMatrix, ngens: int, n: int) -> IntMatrix:
-    """Flattened matrix of f tensor id_N.
-
-    ``matrix`` is the flat matrix of f and N has ``ngens`` generators.
-    """
-    gA, gB = matrix.cols // n, matrix.rows // n
-    rows = [[0] * (gA * ngens * n) for _ in range(gB * ngens * n)]
-    for i in range(gA):
-        base_col = matrix.column(i * n)
-        entries = [(c, u, val) for c in range(gB) for u in range(n)
-                   if (val := base_col[c * n + u])]
-        for j in range(ngens):
-            for s in range(n):
-                col = (i * ngens + j) * n + s
-                for c, u, val in entries:
-                    rows[(c * ngens + j) * n + (u + s) % n][col] = val
-    return IntMatrix(gB * ngens * n, gA * ngens * n, rows)
-
-
-def tensor_map_right(matrix: IntMatrix, ngens: int, n: int,
-                     sign: int = 1) -> IntMatrix:
-    """Flattened matrix of sign * (id_M tensor g).
-
-    ``matrix`` is the flat matrix of g and M has ``ngens`` generators.
-    """
-    gC, gD = matrix.cols // n, matrix.rows // n
-    rows = [[0] * (ngens * gC * n) for _ in range(ngens * gD * n)]
-    for j in range(gC):
-        base_col = matrix.column(j * n)
-        entries = [(d, u, val) for d in range(gD) for u in range(n)
-                   if (val := base_col[d * n + u])]
-        for i in range(ngens):
-            for s in range(n):
-                col = (i * gC + j) * n + s
-                for d, u, val in entries:
-                    rows[(i * gD + d) * n + (u + s) % n][col] = sign * val
-    return IntMatrix(ngens * gD * n, ngens * gC * n, rows)
-
-
 @dataclass(frozen=True)
 class LatticeModule:
     """A Z-torsion-free module as a lattice with an automorphism of finite order."""

@@ -23,11 +23,11 @@ A block entry is either the name of a catalog block or an inline object:
     }
 
 ``cells`` lists the isotropy order of every cell orbit per degree and
-``differentials`` gives the flattened integer matrix from each degree to
-the next; every cell contributes ``point_group_order`` columns in listed
-order.  Inline blocks are validated (divisor conditions, shapes,
-equivariance, d^2 = 0) before a run starts; differentials are geometric
-input and are never inferred.
+``differentials`` gives the flat integer matrix from each degree to the
+next, ``point_group_order`` rows or columns per cell in listed order.
+Inline blocks are validated (divisors, shapes, equivariance, relation
+preservation, d^2 = 0) and converted once to freed coordinates at parse;
+differentials are geometric input and are never inferred.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Optional
 
-from .complexes import GcwBlock, builtin_block, builtin_block_names, validate_block
+from .complexes import GcwBlock, block_from_flat, builtin_block, builtin_block_names
 from .intlinalg import IntMatrix
 from .pullback import PullbackSpec
 from .repring import PointGroup
@@ -144,12 +144,10 @@ def _parse_custom_block(obj: dict, pg: PointGroup, location: str) -> GcwBlock:
                 and all(len(r) == expected_cols for r in rows),
                 f"differential must be {expected_rows}x{expected_cols}", loc)
         diffs.append(IntMatrix(expected_rows, expected_cols, rows))
-    block = GcwBlock(name, pg, dim, tuple(cells), tuple(diffs))
-    report = validate_block(block)
-    if not report.ok:
-        raise SpecParseError("invalid block: " + "; ".join(report.findings),
-                             location)
-    return block
+    try:
+        return block_from_flat(name, pg, cells, diffs)
+    except ValueError as exc:
+        raise SpecParseError(f"invalid block: {exc}", location)
 
 
 def parse_spec(text: str) -> SpecDocument:

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from conftest import FLAT_LITERALS
 from bredon.cli import main
 from bredon.complexes import builtin_block
 from bredon.pullback import MAX_TOR_DEPTH
@@ -29,14 +30,19 @@ FLAGSHIP_SPEC = (pathlib.Path(__file__).resolve().parents[1]
                  / "specs" / "vafa_witten.json")
 
 
-def line_block_json():
-    block = builtin_block("line-minus")
+def inline_block_json(name, literal_of):
+    """The inline spec object of a catalog block's flat literal."""
+    cells, maps = FLAT_LITERALS[literal_of]
     return {
-        "name": "interval",
-        "dimension": 1,
-        "cells": {"0": [4, 4], "1": [2]},
-        "differentials": {"0": [list(r) for r in block.differentials[0].data]},
+        "name": name,
+        "dimension": len(cells) - 1,
+        "cells": {str(d): list(orders) for d, orders in enumerate(cells)},
+        "differentials": {str(d): rows for d, rows in enumerate(maps)},
     }
+
+
+def line_block_json():
+    return inline_block_json("interval", "line-minus")
 
 
 class TestParseSpec:
@@ -76,6 +82,14 @@ class TestParseSpec:
             "blocks": [line_block_json()],
         }))
         assert doc.block_names() == ["interval"]
+
+    @pytest.mark.parametrize("name", ["line-minus", "plane-i"])
+    def test_flat_literal_parses_to_the_catalog_block(self, name):
+        doc = parse_spec(json.dumps({
+            "point_group_order": 4,
+            "blocks": [inline_block_json(name, name)],
+        }))
+        assert doc.blocks == [builtin_block(name)]
 
     def test_custom_block_d_squared_rejected(self):
         ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]

@@ -1,12 +1,14 @@
 """Catalog blocks, cochain complexes, cohomology with module structure."""
 
 from functools import reduce
+from itertools import permutations
 
 import pytest
 
 from bredon.complexes import (
     GcwBlock,
     _freed_action,
+    block_from_flat,
     block_module,
     bredon_cochain_complex,
     builtin_block,
@@ -29,7 +31,12 @@ from bredon.repring import (
     present_lattice,
     quotient_by_ideal,
 )
-from conftest import closed_free_coordinates, free_coordinates
+from conftest import (
+    closed_free_coordinates,
+    flat_block,
+    flat_product,
+    free_coordinates,
+)
 
 
 class TestCatalog:
@@ -116,9 +123,18 @@ class TestValidateBlock:
     def test_non_equivariant_differential(self):
         rows = [[0] * 8 for _ in range(4)]
         rows[0][0] = 1  # a single entry cannot commute with the shift
-        report = validate_block(_line_with_differential(rows))
-        assert not report.ok
-        assert any("equivariant" in f for f in report.findings)
+        with pytest.raises(ValueError, match="equivariant"):
+            block_from_flat("custom", PointGroup(4), ((4, 4), (2,)),
+                            [IntMatrix.from_rows(rows)])
+
+    def test_freed_map_must_commute_with_eta(self):
+        # R/(eta^2 - 1) -> R sending 1, eta to 1, eta commutes with eta on
+        # column 0 only: the wrap-around eta * eta = 1 of the source is
+        # sent to eta^2, the relation eta^2 - 1 to a nonzero element
+        pg = PointGroup(4)
+        d0 = IntMatrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0]])
+        report = validate_block(GcwBlock("bad5", pg, 1, ((2,), (4,)), (d0,)))
+        assert report.findings == ["degree 0: map does not commute with eta"]
 
     def test_wrong_shape(self):
         report = validate_block(_line_with_differential([[0] * 8]))
@@ -128,11 +144,9 @@ class TestValidateBlock:
     def test_relations_not_preserved(self):
         # the identity R/(eta^2 - 1) -> R commutes with eta but sends the
         # relation eta^2 - 1 to a nonzero element of the free target
-        pg = PointGroup(4)
-        block = GcwBlock("bad3", pg, 1, ((2,), (4,)), (IntMatrix.identity(4),))
-        report = validate_block(block)
-        assert not report.ok
-        assert any("preserve relations" in f for f in report.findings)
+        with pytest.raises(ValueError, match="preserve relations"):
+            block_from_flat("bad3", PointGroup(4), ((2,), (4,)),
+                            [IntMatrix.identity(4)])
 
     def test_d_squared_detected(self):
         pg = PointGroup(4)
@@ -147,26 +161,24 @@ class TestValidateBlock:
         # R -> R/(eta^2 - 1) -> R with d0 = id and d1 = 1 + eta^2: d1 kills
         # the relation, since (1 + eta^2)(eta^2 - 1) = eta^4 - 1 = 0, but
         # d1 * d0 = 1 + eta^2 is nonzero in the free target
-        pg = PointGroup(4)
         d1 = IntMatrix.from_columns(
             4, [[int(i in (t, (t + 2) % 4)) for i in range(4)]
                 for t in range(4)])
-        block = GcwBlock("bad4", pg, 2, ((4,), (2,), (4,)),
-                         (IntMatrix.identity(4), d1))
-        report = validate_block(block)
-        assert report.findings == ["d^2 is nonzero between degrees 0 and 2"]
+        with pytest.raises(ValueError) as exc:
+            block_from_flat("bad4", PointGroup(4), ((4,), (2,), (4,)),
+                            [IntMatrix.identity(4), d1])
+        assert str(exc.value) == "d^2 is nonzero between degrees 0 and 2"
 
     def test_flat_d_squared_in_relations_accepted(self):
         # R -> R/(eta^2 - 1) -> R/(eta^2 - 1) with d0 = id and d1 = eta^2 - 1:
         # the flat product d1 * d0 is nonzero, but its columns lie in the
         # relation lattice of the target, so the composite is zero
-        pg = PointGroup(4)
         d1 = IntMatrix.from_columns(
             4, [[(i == (t + 2) % 4) - (i == t) for i in range(4)]
                 for t in range(4)])
         assert not (d1 * IntMatrix.identity(4)).is_zero()
-        block = GcwBlock("ok", pg, 2, ((4,), (2,), (2,)),
-                         (IntMatrix.identity(4), d1))
+        block = block_from_flat("ok", PointGroup(4), ((4,), (2,), (2,)),
+                                [IntMatrix.identity(4), d1])
         assert validate_block(block).ok
         table = cohomology_table(bredon_cochain_complex(block))
         assert [table.group(d) for d in range(3)] == [
@@ -195,17 +207,19 @@ PRODUCTS = pytest.mark.parametrize(
     ids="*".join)
 
 
-@PRODUCTS
+@pytest.mark.parametrize(
+    "blocks", [(name,) for name in builtin_block_names()]
+    + sorted(set(permutations(FLAGSHIP))), ids="*".join)
 def test_freed_differential_is_transported(blocks):
-    # Each freed map is P * d * S for the closed-form coordinates of its
-    # source and target degrees.
-    block = reduce(product_block, [builtin_block(name) for name in blocks])
-    complex_ = bredon_cochain_complex(block)
-    n = block.point_group.order
-    coords = [closed_free_coordinates(orders, n) for orders in block.cells]
-    assert len(complex_.maps) == len(block.differentials)
-    for d, mat in enumerate(block.differentials):
-        assert complex_.maps[d] == coords[d + 1][0] * mat * coords[d][1]
+    # The freed block is the flat literal, or the flat Eilenberg-Zilber
+    # product of the literals, folded; and each freed map is P * d * S for
+    # the closed-form coordinates of its source and target degrees.
+    block = reduce(product_block, map(builtin_block, blocks))
+    cells, flat = reduce(flat_product, map(flat_block, blocks))
+    assert block == block_from_flat(block.name, block.point_group, cells, flat)
+    coords = [closed_free_coordinates(orders, 4) for orders in cells]
+    for d, mat in enumerate(flat):
+        assert block.differentials[d] == coords[d + 1][0] * mat * coords[d][1]
 
 
 @PRODUCTS
@@ -238,10 +252,10 @@ def reference_table(complex_):
     out = {}
     for d, rank in enumerate(complex_.flattened_ranks()):
         if d < complex_.top:
-            cycles = kernel_lattice(complex_.maps[d])
+            cycles = kernel_lattice(complex_.block.differentials[d])
         else:
             cycles = IntMatrix.identity(rank)
-        boundaries = (complex_.maps[d - 1] if d > 0
+        boundaries = (complex_.block.differentials[d - 1] if d > 0
                       else IntMatrix.zeros(rank, 0))
         group, action = subquotient_with_action(
             cycles, boundaries, _freed_action(complex_.block.cells[d]))
@@ -278,7 +292,7 @@ def torsion_block():
     # Z^4 -> Z^2, doubling onto an isotropy-2 cell: H^0 = Z^2 with eta
     # as a quarter turn, H^1 = (Z/2)^2, which has no module structure.
     d0 = flat_map([[ring_block([2])]])
-    return GcwBlock("doubling", PointGroup(4), 1, ((4,), (2,)), (d0,))
+    return block_from_flat("doubling", PointGroup(4), ((4,), (2,)), [d0])
 
 
 def boundary_block():
@@ -286,8 +300,8 @@ def boundary_block():
     # group (the c summand, isotropy 2) reached by nonzero boundaries.
     d0 = flat_map([[ring_block([1])], [ring_block([0, 1])], [None]])
     d1 = flat_map([[ring_block([0, 1]), ring_block([-1]), None]])
-    return GcwBlock("boundaries", PointGroup(4), 2,
-                    ((4,), (4, 4, 2), (4,)), (d0, d1))
+    return block_from_flat("boundaries", PointGroup(4),
+                           ((4,), (4, 4, 2), (4,)), [d0, d1])
 
 
 def reference_complexes():
@@ -321,7 +335,7 @@ def test_hand_blocks_cover_torsion_and_boundaries():
     assert torsion.group(1) == FgAbGroup(0, (2, 2))
     assert torsion.module(1) is None
     boundary_complex = bredon_cochain_complex(boundary_block())
-    assert not boundary_complex.maps[0].is_zero()
+    assert not boundary_complex.block.differentials[0].is_zero()
     boundary = cohomology_table(boundary_complex)
     assert [boundary.group(d) for d in range(3)] == [
         FgAbGroup.trivial(), FgAbGroup.free(2), FgAbGroup.trivial()]

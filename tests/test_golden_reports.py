@@ -8,8 +8,13 @@ not certify them: the tensor-fold answers they contain still carry the
 known torsion defect (README, "Acceptance status").  A change that moves
 the answer of record (ROADMAP item 1) regenerates these files with the
 same commands and records the move in CHANGES.md.
+
+``tests/data/z8.verify.json`` pins the machine report of ``verify
+--tor-depth 2 --full-product-oracle`` on the 5-block Z^8 x| Z/4 spec, so
+the product complex is pinned at five folds as well as four.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +52,17 @@ def test_flagship_human_report_is_pinned(tmp_path, name, argv, code):
     assert main(argv) == code
     expected = (DATA / f"vafa_witten.{name}.txt").read_bytes()
     assert out.read_bytes() == expected
+
+
+def test_z8_verify_report_is_pinned(tmp_path):
+    spec = tmp_path / "z8.json"
+    spec.write_text(json.dumps({
+        "point_group_order": 4,
+        "blocks": ["line-minus", "line-minus", "plane-i", "plane-i",
+                   "plane-i"],
+    }))
+    out = tmp_path / "z8.verify.json"
+    argv = ["verify", str(spec), "--tor-depth", "2", "--full-product-oracle",
+            "--format", "machine", "--output", str(out)]
+    assert main(argv) == 3
+    assert out.read_bytes() == (DATA / "z8.verify.json").read_bytes()

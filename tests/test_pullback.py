@@ -111,7 +111,7 @@ class TestProductComplex:
 
     def test_d_squared_validated(self, line_complex, plane_complex):
         pc = product_complex(line_complex, plane_complex)
-        pc.check_d_squared()
+        assert validate_block(pc.block).ok
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_modules
+from conftest import flat_block, small_modules
 from bredon.complexes import block_module
 from bredon.intlinalg import (
     FgAbGroup,
@@ -401,7 +401,7 @@ class TestPresentationKernel:
 
     def test_restriction_difference(self, line_block):
         # (a, b) -> res(a) - res(b) out of a free rank-two module
-        f = line_block.differentials[0]
+        f = flat_block("line-minus")[1][0]
         target = block_module(line_block, 1)
         K, inc = presentation_kernel(f, target)
         assert K.flatten() == FgAbGroup.free(6)
