@@ -107,14 +107,17 @@ def _emit(payload: dict, human_lines: list, fmt: str, output: Optional[str]) -> 
     else:
         text = "\n".join(human_lines) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SpecFileError(f"cannot write report: {exc}")
     else:
         sys.stdout.write(text)
 
 
 class SpecFileError(Exception):
-    """The specification file could not be read at all."""
+    """The spec file could not be read, or the report could not be written."""
 
 
 def _load_document(path: str) -> SpecDocument:

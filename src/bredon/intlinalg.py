@@ -71,7 +71,7 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, self.columns())
 
     def is_zero(self) -> bool:
-        return all(all(x == 0 for x in r) for r in self.data)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -672,7 +672,8 @@ def subquotient_with_action(A_basis: IntMatrix, B_columns: IntMatrix,
 
     ``A_basis`` holds independent columns spanning A inside some Z^m;
     ``B_columns`` spans a sublattice B of A (columns need not be
-    independent); ``action`` is an m x m matrix preserving both A and B.
+    independent); ``action`` is the m x a matrix of the images of A's
+    basis columns under an automorphism of Z^m preserving both A and B.
 
     Returns ``(group, T)`` where ``group`` is A/B in canonical form and T
     is the matrix of the induced action on A/B when that quotient is
@@ -694,7 +695,7 @@ def subquotient_with_action(A_basis: IntMatrix, B_columns: IntMatrix,
     group = FgAbGroup.from_smith_diagonal(a, diag)
     if not group.is_free:
         return group, None
-    S = solver.solve_matrix(action * A_basis)
+    S = solver.solve_matrix(action)
     if S is None:
         raise ValueError("action does not preserve the lattice")
     Sy = U * S * Uinv

@@ -48,13 +48,12 @@ class FpModule:
 
     ``relations`` is a tuple of flat integer rows of length ``ngens * n``,
     laid out generator by generator on 1, eta, ..., eta^(n-1).  Derived
-    data (every eta-shift of every relation, the eta-permutation, the
-    underlying abelian group) is computed on demand and cached; instances
-    are treated as immutable.
+    data (every eta-shift of every relation, the underlying abelian group)
+    is computed on demand and cached; instances are treated as immutable.
     """
 
     __slots__ = ("group", "ngens", "relations", "_rel_rows", "_rel_lattice",
-                 "_flatten", "_coords", "_shift", "_resolution")
+                 "_flatten", "_coords", "_resolution")
 
     def __init__(self, group: PointGroup, ngens: int,
                  relations: Sequence[Sequence[int]] = ()):
@@ -71,7 +70,6 @@ class FpModule:
         self._rel_lattice = None
         self._flatten = None
         self._coords = None
-        self._shift = None
         self._resolution = None
 
     @property
@@ -107,18 +105,6 @@ class FpModule:
         rows = self.relation_lattice().basis_rows()
         return IntMatrix.from_columns(self.flat_dim, rows)
 
-    def shift_matrix(self) -> IntMatrix:
-        """The eta action on flattened coordinates (a block cyclic shift)."""
-        if self._shift is None:
-            n = self.group.order
-            dim = self.flat_dim
-            rows = [[0] * dim for _ in range(dim)]
-            for i in range(self.ngens):
-                for t in range(n):
-                    rows[i * n + (t + 1) % n][i * n + t] = 1
-            self._shift = IntMatrix(dim, dim, rows)
-        return self._shift
-
     def flatten(self) -> FgAbGroup:
         """The underlying abelian group, canonicalized by Smith reduction."""
         if self._flatten is None:
@@ -146,7 +132,8 @@ class FpModule:
             powers = []
             for _ in range(self.group.order):
                 powers.append(pi * sigma)
-                sigma = self.shift_matrix() * sigma
+                sigma = IntMatrix(dim, sigma.cols,
+                                  _shift_vector(sigma.data, self.group.order))
             self._coords = (tuple(diag[i] for i in keep), powers)
         return self._coords
 
@@ -267,26 +254,12 @@ def tensor_over_ring(M: FpModule, N: FpModule) -> FpModule:
 
 
 def _shift_vector(vec: Sequence[int], n: int) -> list:
-    """Multiplication of a flat vector by eta: rotate every generator block."""
+    """Multiplication of a flat vector by eta: rotate every generator block.
+    On the rows of a matrix it applies eta to every column."""
     out = [0] * len(vec)
     for t in range(n):
         out[(t + 1) % n::n] = vec[t::n]
     return out
-
-
-def check_equivariance(matrix: IntMatrix, n: int) -> None:
-    """Raise unless the flat matrix commutes with eta.
-
-    Rows must satisfy row(e, t+1) = eta * row(e, t), the same equations as
-    col(i, t+1) = eta * col(i, t); rows need no transpose and no product.
-    """
-    for e in range(matrix.rows // n):
-        prev = matrix.data[e * n]
-        for t in range(1, n + 1):
-            row = matrix.data[e * n + t % n]
-            if list(row) != _shift_vector(prev, n):
-                raise ValueError("map is not eta-equivariant")
-            prev = row
 
 
 def _eta_orbit(vec: Sequence[int], n: int):
@@ -394,8 +367,8 @@ def presentation_kernel(matrix: IntMatrix, target: FpModule):
     d = basis.cols
     if d == 0:
         return FpModule(group, 0, ()), basis
-    source = free_module(group, matrix.cols // group.order)
-    shifted = LinearSolver(basis).solve_matrix(source.shift_matrix() * basis)
+    shifted = LinearSolver(basis).solve_matrix(
+        IntMatrix(basis.rows, d, _shift_vector(basis.data, group.order)))
     if shifted is None:
         raise AssertionError("kernel lattice is not shift-stable")
     K, evaluation = present_lattice(LatticeModule(group, d, shifted))

@@ -66,6 +66,25 @@ def closed_free_coordinates(orders, n):
     return IntMatrix(rank, dim, P), IntMatrix(dim, rank, S), rank
 
 
+def freed_action(orders):
+    """Dense reference for eta in freed coordinates: the permutation
+    matrix of t -> t + 1 mod m on each cell of order m."""
+    rank = sum(orders)
+    rows = [[0] * rank for _ in range(rank)]
+    offset = 0
+    for m in orders:
+        for t in range(m):
+            rows[offset + (t + 1) % m][offset + t] = 1
+        offset += m
+    return IntMatrix(rank, rank, rows)
+
+
+def shift_matrix(module):
+    """Dense reference for eta on a module's flat coordinates: the cyclic
+    shift of every generator block of n coordinates."""
+    return freed_action((module.group.order,) * module.ngens)
+
+
 # The catalog blocks written in the flat inline-spec format: n = 4
 # coordinates 1, eta, eta^2, eta^3 per cell whatever its isotropy order,
 # each incidence coefficient repeated on every eta power.

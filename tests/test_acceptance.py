@@ -25,8 +25,8 @@ import time
 
 import pytest
 
+from conftest import freed_action
 from bredon.complexes import (
-    _freed_action,
     bredon_cochain_complex,
     builtin_block,
     builtin_block_names,
@@ -294,7 +294,7 @@ def test_criterion_8_property_suites():
         complexes["plane-i"])
     for label, cx in {**complexes, **products}.items():
         maps = cx.block.differentials
-        actions = [_freed_action(orders) for orders in cx.block.cells]
+        actions = [freed_action(orders) for orders in cx.block.cells]
         equivariant = all(mat * actions[d] == actions[d + 1] * mat
                           for d, mat in enumerate(maps))
         d_squared = all((b * a).is_zero() for a, b in zip(maps, maps[1:]))

@@ -210,6 +210,29 @@ class TestCli:
         payload = json.loads(out_path.read_text())
         assert payload["command"] == "ktheory"
 
+    def test_unwritable_output_is_a_usage_error(self, spec_file, tmp_path,
+                                                capsys):
+        path = spec_file(POINT_SPEC)
+        out_path = tmp_path / "missing" / "report.txt"
+        assert main(["ktheory", path, "--output", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error (usage): cannot write report: ")
+        assert str(out_path) in captured.err
+
+    def test_unwritable_output_machine_error(self, spec_file, tmp_path,
+                                             capsys):
+        path = spec_file(POINT_SPEC)
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["verify", path, "--format", "machine",
+                     "--output", str(out_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["kind"] == "usage"
+        assert error["message"].startswith("cannot write report: ")
+        assert not out_path.parent.exists()
+
     def test_parse_failure_exit_code(self, spec_file, capsys):
         path = spec_file(json.dumps({"point_group_order": 4, "blocks": []}))
         assert main(["cohomology", path]) == 2

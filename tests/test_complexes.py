@@ -1,5 +1,6 @@
 """Catalog blocks, cochain complexes, cohomology with module structure."""
 
+import random
 from functools import reduce
 from itertools import permutations
 
@@ -7,7 +8,8 @@ import pytest
 
 from bredon.complexes import (
     GcwBlock,
-    _freed_action,
+    _commutes_with_eta,
+    _eta_index,
     block_from_flat,
     block_module,
     bredon_cochain_complex,
@@ -32,10 +34,13 @@ from bredon.repring import (
     quotient_by_ideal,
 )
 from conftest import (
+    FLAT_LITERALS,
     closed_free_coordinates,
     flat_block,
     flat_product,
     free_coordinates,
+    freed_action,
+    shift_matrix,
 )
 
 
@@ -235,11 +240,16 @@ def test_freed_action_is_transported_shift(blocks):
         P, S, rank = free_coordinates(module)
         P_closed, S_closed, closed_rank = closed_free_coordinates(orders, n)
         assert closed_rank == rank
-        action = _freed_action(orders)
-        assert action == P_closed * module.shift_matrix() * S_closed
+        index = _eta_index(orders)
+        action = IntMatrix(rank, rank, [[int(index[j] == i)
+                                         for j in range(rank)]
+                                        for i in range(rank)])
+        assert action == freed_action(orders)
+        shift = shift_matrix(module)
+        assert action == P_closed * shift * S_closed
         W = P * S_closed
         assert smith_diagonal(W) == [1] * rank
-        assert W * action == P * module.shift_matrix() * S * W
+        assert W * action == P * shift * S * W
 
 
 def reference_table(complex_):
@@ -258,7 +268,8 @@ def reference_table(complex_):
         boundaries = (complex_.block.differentials[d - 1] if d > 0
                       else IntMatrix.zeros(rank, 0))
         group, action = subquotient_with_action(
-            cycles, boundaries, _freed_action(complex_.block.cells[d]))
+            cycles, boundaries,
+            freed_action(complex_.block.cells[d]) * cycles)
         module = None
         if group.is_trivial:
             module = FpModule(complex_.point_group, 0, ())
@@ -340,3 +351,39 @@ def test_hand_blocks_cover_torsion_and_boundaries():
     assert [boundary.group(d) for d in range(3)] == [
         FgAbGroup.trivial(), FgAbGroup.free(2), FgAbGroup.trivial()]
     assert boundary.module(1).flatten() == FgAbGroup.free(2)
+
+
+def assert_commutation_agrees(mat, src, tgt, rng, perturbations=20):
+    """``_commutes_with_eta`` against the dense ``mat * A_src == A_tgt * mat``
+    on the map itself, which commutes, and on seeded single-entry changes
+    of it."""
+    def dense(m):
+        return m * freed_action(src) == freed_action(tgt) * m
+
+    assert _commutes_with_eta(mat, src, tgt) and dense(mat)
+    for _ in range(perturbations if mat.rows and mat.cols else 0):
+        rows = mat.to_lists()
+        rows[rng.randrange(mat.rows)][rng.randrange(mat.cols)] += \
+            rng.choice((-2, -1, 1, 2))
+        bad = IntMatrix(mat.rows, mat.cols, rows)
+        assert _commutes_with_eta(bad, src, tgt) == dense(bad)
+
+
+@pytest.mark.parametrize("block", reference_complexes(),
+                         ids=lambda b: b.name)
+def test_eta_commutation_agrees_with_dense_action(block):
+    rng = random.Random(block.name)
+    for d, mat in enumerate(block.differentials):
+        assert_commutation_agrees(mat, block.cells[d], block.cells[d + 1],
+                                  rng)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, (_, maps) in FLAT_LITERALS.items() if maps])
+def test_eta_commutation_agrees_on_flat_literals(name):
+    # a flat map has n = 4 coordinates per cell, whatever its isotropy
+    cells, flat = flat_block(name)
+    rng = random.Random(name)
+    for d, mat in enumerate(flat):
+        assert_commutation_agrees(mat, (4,) * len(cells[d]),
+                                  (4,) * len(cells[d + 1]), rng)

@@ -255,7 +255,7 @@ class TestLatticeHelpers:
         basis = IntMatrix.identity(2)
         sub = IntMatrix.zeros(2, 0)
         swap = IntMatrix.from_rows([[0, 1], [1, 0]])
-        group, T = subquotient_with_action(basis, sub, swap)
+        group, T = subquotient_with_action(basis, sub, swap * basis)
         assert group == FgAbGroup.free(2)
         assert T == swap
 

@@ -62,7 +62,7 @@ def character_euler(complex_):
     of the flattened modules.  Computed directly from ranks of shift - 1
     and shift + 1, independent of the tensor machinery.
     """
-    from conftest import free_coordinates
+    from conftest import free_coordinates, shift_matrix
 
     plus = minus = gauss = 0
     for d in range(complex_.top + 1):
@@ -70,7 +70,7 @@ def character_euler(complex_):
         P, S, rank = free_coordinates(module)
         if rank == 0:
             continue
-        act = P * module.shift_matrix() * S
+        act = P * shift_matrix(module) * S
         ident = IntMatrix.identity(rank)
         d_plus = rank - sum(1 for x in smith_diagonal(act - ident) if x)
         d_minus = rank - sum(1 for x in smith_diagonal(act + ident) if x)
