@@ -667,7 +667,7 @@ def determinant(A: IntMatrix) -> int:
 
 
 def subquotient_with_action(A_basis: IntMatrix, B_columns: IntMatrix,
-                            action: Optional[IntMatrix] = None):
+                            action: IntMatrix):
     """The quotient of lattice A by sublattice B, with the induced action.
 
     ``A_basis`` holds independent columns spanning A inside some Z^m;
@@ -682,14 +682,11 @@ def subquotient_with_action(A_basis: IntMatrix, B_columns: IntMatrix,
     """
     a = A_basis.cols
     if a == 0:
-        empty = IntMatrix.zeros(0, 0)
-        return FgAbGroup.trivial(), (empty if action is not None else None)
+        return FgAbGroup.trivial(), IntMatrix.zeros(0, 0)
     solver = LinearSolver(A_basis)
     C = solver.solve_matrix(B_columns)
     if C is None:
         raise ValueError("columns do not lie in the given lattice")
-    if action is None:
-        return FgAbGroup.from_smith_diagonal(a, smith_diagonal(C)), None
     diag, U, Uinv = smith_with_inverse(C)
     r = sum(1 for d in diag if d)
     group = FgAbGroup.from_smith_diagonal(a, diag)

@@ -151,8 +151,10 @@ def em_e2(HX: CohomologyTable, HY: CohomologyTable, p_max: int) -> BigradedTable
     tensor of the degree-i and degree-j entries.  The p = 0 row coincides
     with :func:`kunneth_tensor` degreewise; vanishing of the rows p >= 1
     is the computed collapse certificate.  Each derived tensor is
-    computed from a free resolution of the right-hand module, which in a
-    fold is the small per-block one.
+    computed by :func:`tor` from a free resolution of the right-hand
+    module, which in a fold is the small per-block one, as one free total
+    complex in the left-hand module's Smith coordinates, every group read
+    from one Smith diagonal per differential.
     """
     if HX.point_group != HY.point_group:
         raise ValueError("point group mismatch in derived page")

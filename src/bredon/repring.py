@@ -28,7 +28,6 @@ from .intlinalg import (
     kernel_lattice,
     smith_diagonal,
     smith_with_inverse,
-    subquotient_with_action,
 )
 
 
@@ -338,32 +337,24 @@ def present_lattice(L: LatticeModule):
     return module, evaluation
 
 
-def _preimage(matrix: IntMatrix, relations: IntMatrix) -> IntMatrix:
-    """Basis of the source vectors that ``matrix`` sends into the span of
-    the columns of ``relations``.
-
-    The kernel of ``[matrix | relations]``, projected onto the source
-    coordinates and re-spanned.
-    """
-    stacked = matrix.hstack(relations) if relations.cols else matrix
-    span = RowEchelonLattice(matrix.cols)
-    for col in kernel_lattice(stacked).columns():
-        span.add(col[:matrix.cols])
-    return span.basis_columns_matrix(matrix.cols)
-
-
 def presentation_kernel(matrix: IntMatrix, target: FpModule):
     """Kernel of a map out of a free module, as a presented module.
 
     ``matrix`` is the flat matrix of an eta-equivariant map from the free
     module on ``matrix.cols // n`` generators to ``target``.  The kernel
-    lattice, with the eta action restricted to it, is presented by
-    :func:`present_lattice`.  Returns ``(K, inclusion)`` where the flat
-    matrix ``inclusion`` sends K into the source and composes with
-    ``matrix`` to zero modulo the target relations.
+    lattice (that of ``[matrix | relations]``, projected onto the source)
+    is presented with its eta action by :func:`present_lattice`.  Returns
+    ``(K, inclusion)`` where the flat matrix ``inclusion`` sends K into
+    the source and composes with ``matrix`` to zero modulo the target
+    relations.
     """
     group = target.group
-    basis = _preimage(matrix, target.relation_columns())
+    relations = target.relation_columns()
+    stacked = matrix.hstack(relations) if relations.cols else matrix
+    span = RowEchelonLattice(matrix.cols)
+    for col in kernel_lattice(stacked).columns():
+        span.add(col[:matrix.cols])
+    basis = span.basis_columns_matrix(matrix.cols)
     d = basis.cols
     if d == 0:
         return FpModule(group, 0, ()), basis
@@ -393,14 +384,6 @@ def free_resolution_maps(M: FpModule, length: int) -> list:
     return maps[:length + 1]
 
 
-def _diagonal_relations(orders: Sequence[int], copies: int) -> IntMatrix:
-    """Relation columns d_i e_i of ``copies`` stacked Smith coordinate blocks."""
-    dim = len(orders) * copies
-    return IntMatrix.from_columns(dim, [
-        [d if r == at else 0 for r in range(dim)]
-        for at, d in enumerate(orders * copies) if d])
-
-
 def _act(matrix: IntMatrix, powers: Sequence[IntMatrix], n: int) -> IntMatrix:
     """Matrix of f tensor id_N in N's Smith coordinates.
 
@@ -424,14 +407,36 @@ def _act(matrix: IntMatrix, powers: Sequence[IntMatrix], n: int) -> IntMatrix:
     return IntMatrix(gB * c, gA * c, rows)
 
 
+def _divide_rows(rows, orders: Sequence[int]) -> list:
+    """The rows of X with D X = ``rows``, D the columns d_i e_i of the
+    nonzero ``orders``: row i divided by d_i.  The columns of ``rows`` must
+    lie in the span of D, so each division is exact and a row of order 0
+    is zero.
+    """
+    out = []
+    for d, row in zip(orders, rows):
+        if any(x % d for x in row) if d else any(row):
+            raise AssertionError("lifted map leaves the diagonal relations")
+        if d:
+            out.append([x // d for x in row])
+    return out
+
+
 def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     """Tor_p(M, N) over R(C_n) for p = 0 .. p_max.
 
-    Builds a partial free resolution F of M by iterated syzygies and
-    takes the homology of F tensor N in N's Smith coordinates (see
-    :meth:`FpModule.smith_coordinates`): F_p tensor N is Z^(c * g_p)
-    modulo diagonal relations, for F_p free on g_p generators.  Degree 0
-    always agrees with the flattening of the tensor product.
+    Builds a partial free resolution F of M by iterated syzygies and works
+    in N's Smith coordinates (see :meth:`FpModule.smith_coordinates`):
+    F_p tensor N is Z^(k_p) / D_p, with D_p injecting Z^(t_p) as the
+    columns d_i e_i of the coordinates of nonzero order.  With A_p the
+    lift of the differential (:func:`_act`) and h_p, s_p the exact
+    quotients A_p D_p = D_(p-1) h_p and A_(p-1) A_p = D_(p-2) s_p, the
+    free total complex T_p = Z^(k_p) + Z^(t_(p-1)) with
+    d_p(x, y) = (A_p x + D_(p-1) y, -s_p x - h_(p-1) y) has the homology
+    of F tensor N (the mapping cone of D).  One Smith diagonal per d_p
+    gives every group, as in :func:`cohomology_table`:
+    Tor_p = Z^(dim T_p - r_p - r_(p+1)) plus the torsion of d_(p+1).
+    Degree 0 always agrees with the flattening of the tensor product.
     """
     if M.group != N.group:
         raise ValueError("point group mismatch in Tor")
@@ -440,15 +445,25 @@ def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     n = M.group.order
     orders, powers = N.smith_coordinates()
     maps = free_resolution_maps(M, p_max + 1)
-    relations = [_diagonal_relations(orders, step.cols // n) for step in maps]
+    degree_orders = [orders * (step.cols // n) for step in maps]
     acting = [None] + [_act(step, powers, n) for step in maps[1:]]
-    out = []
-    for p in range(p_max + 1):
-        if p == 0:
-            cycles = IntMatrix.identity(relations[0].rows)
-        else:
-            cycles = _preimage(acting[p], relations[p - 1])
-        group, _ = subquotient_with_action(
-            cycles, relations[p].hstack(acting[p + 1]))
-        out.append(group)
-    return out
+    totals = []
+    for p in range(1, p_max + 2):
+        A, below = acting[p], degree_orders[p - 1]
+        kept = [(j, d) for j, d in enumerate(below) if d]
+        twist = lift = []
+        if p > 1:  # s_p and h_(p-1), both into Z^(t_(p-2))
+            prev, base = acting[p - 1], degree_orders[p - 2]
+            twist = _divide_rows((prev * A).data, base)
+            lift = _divide_rows([[row[j] * d for j, d in kept]
+                                 for row in prev.data], base)
+        total = [list(row) + [0] * len(kept) for row in A.data]
+        for k, (j, d) in enumerate(kept):
+            total[j][A.cols + k] = d
+        total += [[-x for x in s + h] for s, h in zip(twist, lift)]
+        totals.append(IntMatrix(len(total), A.cols + len(kept), total))
+    diagonals = [smith_diagonal(total) for total in totals]
+    ranks = [0] + [sum(1 for x in diag if x) for diag in diagonals]
+    return [FgAbGroup(totals[p].rows - ranks[p] - ranks[p + 1],
+                      tuple(x for x in diagonals[p] if x > 1))
+            for p in range(p_max + 1)]

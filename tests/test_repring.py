@@ -16,6 +16,7 @@ from bredon.repring import (
     FpModule,
     LatticeModule,
     PointGroup,
+    _divide_rows,
     direct_sum_modules,
     free_module,
     present_lattice,
@@ -421,16 +422,18 @@ class TestTor:
         assert groups[0] == FgAbGroup.free(4)
         assert groups[1].is_trivial and groups[2].is_trivial
 
+    # 2-periodic past degree 0; the twist s_p of the total complex in
+    # tor first enters at d_3
+    PERIODIC = [FgAbGroup.free(2), FgAbGroup(0, (2, 2)), FgAbGroup.trivial(),
+                FgAbGroup(0, (2, 2)), FgAbGroup.trivial()]
+
     def test_res2_against_itself(self):
-        groups = tor(restriction_module(PG4, 2), restriction_module(PG4, 2), 2)
-        assert groups == [FgAbGroup.free(2), FgAbGroup(0, (2, 2)),
-                          FgAbGroup.trivial()]
+        groups = tor(restriction_module(PG4, 2), restriction_module(PG4, 2), 4)
+        assert groups == self.PERIODIC
 
     def test_gaussian_module(self):
         M = present_lattice(rotation_module())[0]
-        groups = tor(M, M, 2)
-        assert groups == [FgAbGroup.free(2), FgAbGroup(0, (2, 2)),
-                          FgAbGroup.trivial()]
+        assert tor(M, M, 4) == self.PERIODIC
 
     def test_degree_zero_is_tensor(self):
         mods = module_catalog()
@@ -452,6 +455,13 @@ class TestTor:
     def test_group_mismatch(self):
         with pytest.raises(ValueError):
             tor(free_module(PG4, 1), free_module(PG2, 1), 1)
+
+    def test_lifts_divide_exactly(self):
+        # row i over order d_i; a row of order 0 is dropped and must vanish
+        assert _divide_rows([[4, -2], [0, 0]], [2, 0]) == [[2, -1]]
+        for rows, orders in (([[3, 2]], [2]), ([[0, 1]], [0])):
+            with pytest.raises(AssertionError):
+                _divide_rows(rows, orders)
 
 
 def mixed_modules():
@@ -544,7 +554,13 @@ class TestTorMixedTorsion:
     def test_balanced(self, pair):
         mods = mixed_modules()
         a, b = mods[pair[0]], mods[pair[1]]
-        assert tor(a, b, 2) == tor(b, a, 2)
+        assert tor(a, b, 4) == tor(b, a, 4)
+
+    def test_sum_against_res2_to_depth_four(self):
+        mods = mixed_modules()
+        z2, z2z2 = FgAbGroup.cyclic(2), FgAbGroup(0, (2, 2))
+        assert tor(mods["sum"], mods["res2"], 4) == [
+            FgAbGroup(1, (2, 8, 8)), z2, z2z2, z2, z2z2]
 
     def test_torsion_in_higher_degrees(self):
         mods = mixed_modules()
