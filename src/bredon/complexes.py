@@ -198,7 +198,7 @@ def block_module(block: GcwBlock, degree: int) -> FpModule:
 
 def bredon_cochain_complex(block: GcwBlock) -> CochainComplex:
     """Assemble and validate the cochain complex of a block."""
-    report = _check(block)
+    report = validate_block(block)
     if not report.ok:
         raise ValueError("invalid block data: " + "; ".join(report.findings))
     return CochainComplex(block)
@@ -216,19 +216,14 @@ class BlockReport:
         return not self.findings
 
 
-def validate_block(block: GcwBlock) -> BlockReport:
-    """Check divisors, shapes, eta-commutation and d^2 = 0."""
-    return _check(block)
-
-
 def _divisor_findings(cells: Sequence[Sequence[int]], n: int) -> list:
     return [f"degree {d}: isotropy order {m} does not divide {n}"
             for d, orders in enumerate(cells) for m in orders
             if m < 1 or n % m]
 
 
-def _check(block: GcwBlock) -> BlockReport:
-    """The validation report of a block.
+def validate_block(block: GcwBlock) -> BlockReport:
+    """Check divisors, shapes, eta-commutation and d^2 = 0.
 
     A freed matrix is a module map exactly when it commutes with eta
     (:func:`_commutes_with_eta`); on the last column of a cell of order m,

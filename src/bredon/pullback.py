@@ -16,7 +16,7 @@ held and what did not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd
 from typing import Optional
 
@@ -187,8 +187,8 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
     cell.  A pair's isotropy order is gcd(a, b), because
     R/(eta^a - 1) tensor R/(eta^b - 1) = R/(eta^gcd(a, b) - 1).  The
     differential follows d(x (x) y) = dx (x) y + (-1)^|x| x (x) dy: where
-    dx holds c eta^s on a cell x' of order a', the coordinate eta^u of
-    x (x) y maps to c eta^((s + u) mod gcd(a', b)) on x' (x) y.
+    dx holds c eta^s on a cell x' of order a', x (x) y maps to c eta^s on
+    x' (x) y, read mod eta^gcd(a', b) - 1.
     """
     if X.point_group != Y.point_group:
         raise ValueError("point group mismatch in product block")
@@ -200,40 +200,139 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
              for t in range(top + 1)]
     cells = tuple(tuple(gcd(a, b) for _, _, a, _, _, b in pairs_t)
                   for pairs_t in pairs)
-    # the first freed coordinate of each pair
-    start = {(i, x, j, y): pos for pairs_t, orders in zip(pairs, cells)
-             for (i, x, _, j, y, _), pos
-             in zip(pairs_t, accumulate(orders, initial=0))}
+    # the position of each pair among the cells of its degree
+    index = {(i, x, j, y): pos for pairs_t in pairs
+             for pos, (i, x, _, j, y, _) in enumerate(pairs_t)}
     left = [_boundary_terms(X, i) for i in range(X.dimension)]
     right = [_boundary_terms(Y, j) for j in range(Y.dimension)]
 
     differentials = []
     for t in range(top):
-        rows = [[0] * sum(cells[t]) for _ in range(sum(cells[t + 1]))]
-        for i, x, a, j, y, b in pairs[t]:
-            # (first target row, target order, eta power, coefficient)
-            terms = [(start[i + 1, e, j, y], gcd(X.cells[i + 1][e], b), s, c)
-                     for e, s, c in (left[i][x] if i < X.dimension else ())]
-            terms += [(start[i, x, j + 1, e], gcd(a, Y.cells[j + 1][e]),
-                       s, (-1) ** i * c)
-                      for e, s, c in (right[j][y] if j < Y.dimension else ())]
-            col = start[i, x, j, y]
-            for u in range(gcd(a, b)):
-                for row, g, s, c in terms:
-                    rows[row + (s + u) % g][col + u] += c
-        differentials.append(
-            IntMatrix(sum(cells[t + 1]), sum(cells[t]), rows))
+        terms = [[(index[i + 1, e, j, y], s, c)
+                  for e, s, c in (left[i][x] if i < X.dimension else ())]
+                 + [(index[i, x, j + 1, e], s, (-1) ** i * c)
+                    for e, s, c in (right[j][y] if j < Y.dimension else ())]
+                 for i, x, _, j, y, _ in pairs[t]]
+        differentials.append(_freed_map(cells[t], cells[t + 1], terms))
     return GcwBlock(f"{X.name}*{Y.name}", X.point_group, top, cells,
                     tuple(differentials))
 
 
+def reduce_block(block: GcwBlock) -> GcwBlock:
+    """The block with every unit incidence of equal isotropy cancelled.
+
+    A degree-d cell x and a degree-(d+1) cell y of equal isotropy a whose
+    freed block is u = +-eta^k span a contractible cone, since u is an
+    automorphism of R/(eta^a - 1).  Gaussian elimination drops both: each
+    other entry (b, c) of the map out of degree d becomes
+    entry(b, c) - entry(b, x) u^-1 entry(y, c), read mod eta^m_b - 1, and
+    x and y leave the maps into degree d and out of degree d + 1.  The
+    cohomology is unchanged, and so is that of every product with the
+    block, since a tensor product keeps a cone contractible.  Pairs are
+    taken degree by degree from 0 up; within a degree the pair with the
+    fewest other entries in its column times its row goes first, ties to
+    the lowest (x, y).
+    """
+    cells = block.cells
+    # cols[d][x][y] and rows[d][y][x] hold the same entry of the map out
+    # of degree d: the image of 1 of cell x on cell y, as {eta power: c}
+    cols, rows = [], []
+    for d in range(block.dimension):
+        cols.append([{} for _ in cells[d]])
+        rows.append([{} for _ in cells[d + 1]])
+        for x, terms in enumerate(_boundary_terms(block, d)):
+            for y, s, c in terms:
+                cols[d][x].setdefault(y, {})[s] = c
+                rows[d][y][x] = cols[d][x][y]
+    live = [set(range(len(orders))) for orders in cells]
+
+    def drop(e, cell):
+        """Remove a degree-e cell from the maps into and out of degree e."""
+        if e > 0:
+            for w in rows[e - 1][cell]:
+                del cols[e - 1][w][cell]
+            rows[e - 1][cell] = {}
+        if e < block.dimension:
+            for z in cols[e][cell]:
+                del rows[e][z][cell]
+            cols[e][cell] = {}
+        live[e].discard(cell)
+
+    for d in range(block.dimension):
+        col, row = cols[d], rows[d]
+        units = {(x, y) for x, entries in enumerate(col)
+                 for y, entry in entries.items()
+                 if _is_unit(entry, cells[d][x], cells[d + 1][y])}
+        while units:
+            _, x, y = min(((len(col[x]) - 1) * (len(row[y]) - 1), x, y)
+                          for x, y in units)
+            (k, sign), = row[y][x].items()
+            betas = [(b, beta) for b, beta in col[x].items() if b != y]
+            gammas = [(c, gamma) for c, gamma in row[y].items() if c != x]
+            units -= {(x, b) for b in col[x]} | {(c, y) for c in row[y]}
+            drop(d, x)
+            drop(d + 1, y)
+            for b, beta in betas:
+                m = cells[d + 1][b]
+                for c, gamma in gammas:
+                    entry = row[b].get(c, {})
+                    for s, g in gamma.items():
+                        for t, v in beta.items():
+                            power = (s - k + t) % m
+                            entry[power] = entry.get(power, 0) - sign * g * v
+                            if not entry[power]:
+                                del entry[power]
+                    if entry:
+                        row[b][c] = col[c][b] = entry
+                    elif c in row[b]:
+                        del row[b][c], col[c][b]
+                    if _is_unit(entry, cells[d][c], m):
+                        units.add((c, b))
+                    else:
+                        units.discard((c, b))
+
+    kept = [sorted(cells_d) for cells_d in live]
+    new = [{cell: pos for pos, cell in enumerate(k)} for k in kept]
+    orders = tuple(tuple(cells[d][x] for x in k) for d, k in enumerate(kept))
+    differentials = tuple(
+        _freed_map(orders[d], orders[d + 1],
+                   [[(new[d + 1][y], s, c) for y, entry in cols[d][x].items()
+                     for s, c in entry.items()] for x in kept[d]])
+        for d in range(block.dimension))
+    return GcwBlock(block.name, block.point_group, block.dimension, orders,
+                    differentials)
+
+
+def _is_unit(entry: dict, source_order: int, target_order: int) -> bool:
+    """Whether an entry is +-eta^k between cells of equal isotropy."""
+    return (source_order == target_order and len(entry) == 1
+            and abs(next(iter(entry.values()))) == 1)
+
+
+def _freed_map(src_orders, tgt_orders, terms) -> IntMatrix:
+    """The freed matrix of the map sending 1 of source cell k to the sum
+    of c eta^s on target cell e over (e, s, c) in terms[k]: coordinate
+    eta^u of the source goes to c eta^((s + u) mod m_e).
+    :func:`_boundary_terms` reads it back."""
+    starts = list(accumulate(tgt_orders, initial=0))
+    rows = [[0] * sum(src_orders) for _ in range(starts[-1])]
+    for col, m, cell_terms in zip(accumulate(src_orders, initial=0),
+                                  src_orders, terms):
+        for u in range(m):
+            for e, s, c in cell_terms:
+                rows[starts[e] + (s + u) % tgt_orders[e]][col + u] += c
+    return IntMatrix(starts[-1], sum(src_orders), rows)
+
+
 def _boundary_terms(block: GcwBlock, d: int) -> list:
-    """Per degree-d cell: (target cell, eta power, c) of its first column."""
+    """Per degree-d cell: (target cell, eta power, c) of its first column,
+    the terms that :func:`_freed_map` expands."""
     targets = [(e, s) for e, m in enumerate(block.cells[d + 1])
                for s in range(m)]
     columns = block.differentials[d].columns()
     firsts = list(accumulate(block.cells[d], initial=0))[:-1]
-    return [[(e, s, c) for (e, s), c in zip(targets, columns[k]) if c]
+    return [[(e, s, c) for (e, s), c
+             in zip(compress(targets, columns[k]), filter(None, columns[k]))]
             for k in firsts]
 
 
@@ -348,7 +447,10 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
             record.collapse_failures = record.e2.rows_above_zero()
         acc = kunneth_tensor(acc, tables[k])
         if acc_complex is not None:
-            acc_complex = product_complex(acc_complex, complexes[k])
+            # reduced between folds: the groups of this and every later
+            # product stay the same (see reduce_block)
+            acc_complex = bredon_cochain_complex(reduce_block(
+                product_complex(acc_complex, complexes[k]).block))
             product = cohomology_table(acc_complex)
             if k == 1:
                 pairs[spec.blocks[0], spec.blocks[1]] = acc, product

@@ -196,6 +196,21 @@ class TestValidateBlock:
         with pytest.raises(ValueError):
             bredon_cochain_complex(block)
 
+    def test_cochain_complex_validates_through_validate_block(
+            self, monkeypatch):
+        # the one validation function, so a wrapper of it sees every check
+        import bredon.complexes
+
+        seen = []
+
+        def recording(block):
+            seen.append(block)
+            return validate_block(block)
+        monkeypatch.setattr(bredon.complexes, "validate_block", recording)
+        block = builtin_block("plane-i")
+        bredon_cochain_complex(block)
+        assert seen == [block]
+
 
 class TestEquivarianceOfTables:
     def test_module_slots_match_groups(self, line_table, plane_table):

@@ -1,5 +1,6 @@
 """The tensor fold, the product-complex oracle, and the derived page."""
 
+import functools
 import importlib.util
 import itertools
 import pathlib
@@ -12,7 +13,9 @@ from conftest import small_modules
 from bredon.complexes import (
     CohomologyEntry,
     CohomologyTable,
+    GcwBlock,
     block_module,
+    bredon_cochain_complex,
     builtin_block,
     builtin_block_names,
     cohomology_table,
@@ -27,6 +30,8 @@ from bredon.intlinalg import (
 )
 from bredon.pullback import (
     CollapseFailureError,
+    _boundary_terms,
+    _freed_map,
     PullbackSpec,
     TorsionObstructionError,
     compute_pullback_cohomology,
@@ -34,6 +39,7 @@ from bredon.pullback import (
     kunneth_tensor,
     product_block,
     product_complex,
+    reduce_block,
     run_pullback,
 )
 from bredon.repring import (
@@ -154,6 +160,89 @@ class TestProductBlock:
         assert len(pairs) == 6
         for a, b in pairs:
             assert f"{a} * {b}:" in out
+
+
+CATALOG_SEQUENCES = [names for n in (2, 3, 4) for names
+                     in itertools.product(builtin_block_names(), repeat=n)]
+
+
+@functools.lru_cache(maxsize=None)
+def unreduced(names):
+    """The product block of the named blocks, never reduced."""
+    if len(names) == 1:
+        return builtin_block(names[0])
+    return product_block(unreduced(names[:-1]), builtin_block(names[-1]))
+
+
+@functools.lru_cache(maxsize=None)
+def reduced(names):
+    """The accumulated product, reduced after each fold as run_pullback
+    does it."""
+    if len(names) == 1:
+        return builtin_block(names[0])
+    return reduce_block(product_block(reduced(names[:-1]),
+                                      builtin_block(names[-1])))
+
+
+def groups(block):
+    table = cohomology_table(bredon_cochain_complex(block))
+    return [table.group(d) for d in range(block.dimension + 1)]
+
+
+class TestReduceBlock:
+    @pytest.mark.parametrize("names", CATALOG_SEQUENCES, ids="*".join)
+    def test_fold_keeps_every_group(self, names):
+        product = product_block(reduced(names[:-1]), builtin_block(names[-1]))
+        block = reduce_block(product)
+        assert validate_block(block).ok
+        assert block.dimension == product.dimension
+        want = groups(unreduced(names))
+        # the product of the reduced accumulation, and its reduction
+        assert groups(product) == want
+        assert groups(block) == want
+        assert reduce_block(block) == block
+
+    def test_flagship_last_reduction_is_pinned(self, monkeypatch, pg4,
+                                               line_block, plane_block):
+        import bredon.pullback
+
+        seen = []
+
+        def recording(block):
+            seen.append(reduce_block(block))
+            return seen[-1]
+        monkeypatch.setattr(bredon.pullback, "reduce_block", recording)
+        run_pullback(PullbackSpec(pg4, (line_block, line_block, plane_block,
+                                        plane_block), full_product_oracle=True))
+        ranks = [[sum(orders) for orders in block.cells] for block in seen]
+        assert ranks == [[16, 6, 0], [34, 14, 1, 0, 0],
+                         [74, 32, 2, 0, 1, 0, 0]]
+        assert seen[-1] == reduced(
+            ("line-minus", "line-minus", "plane-i", "plane-i"))
+
+    def test_hand_block(self, pg4):
+        # degree 0: x, c, p, z of order 4; degree 1: y, b, q, w of orders
+        # 4, 2, 4, 2.  x -> y is the unit -eta and x -> b is 1; c -> y is
+        # eta^2 + eta^3 and p -> q is 1 + eta, both non-units; z -> w is 1
+        # between unequal isotropy orders
+        src, tgt = (4, 4, 4, 4), (4, 2, 4, 2)
+        terms = [[(0, 1, -1), (1, 0, 1)],
+                 [(0, 2, 1), (0, 3, 1)],
+                 [(2, 0, 1), (2, 1, 1)],
+                 [(3, 0, 1)]]
+        block = GcwBlock("hand", pg4, 1, (src, tgt),
+                         (_freed_map(src, tgt, terms),))
+        assert validate_block(block).ok
+        out = reduce_block(block)
+        # only x and y cancel; c -> b fills in with
+        # -(1)(-eta^3)(eta^2 + eta^3) = eta^5 + eta^6 = eta + 1 mod eta^2 - 1
+        assert out.cells == ((4, 4, 4), (2, 4, 2))
+        assert _boundary_terms(out, 0) == [[(0, 0, 1), (0, 1, 1)],
+                                           [(1, 0, 1), (1, 1, 1)],
+                                           [(2, 0, 1)]]
+        assert validate_block(out).ok
+        assert groups(out) == groups(block)
+        assert reduce_block(out) == out
 
 
 class TestKunneth:
