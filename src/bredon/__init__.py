@@ -31,7 +31,6 @@ from .repring import (
     tor,
 )
 from .complexes import (
-    CochainComplex,
     CohomologyTable,
     GcwBlock,
     bredon_cochain_complex,
@@ -63,16 +62,15 @@ from .specfile import SpecDocument, SpecParseError, parse_spec
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigradedTable", "CochainComplex", "CohomologyTable",
-    "CollapseFailureError", "FgAbGroup", "FpModule", "GcwBlock", "IntMatrix",
-    "KTheoryResult", "LatticeModule", "OracleMismatchError", "PointGroup",
-    "PullbackSpec", "SnfDecomposition", "SpecDocument", "SpecParseError",
-    "TorsionObstructionError", "ahss_collapse", "bredon_cochain_complex",
-    "builtin_block", "builtin_block_names", "cohomology_table",
-    "compute_pullback_cohomology", "determinant", "em_e2", "free_module",
-    "full_report", "hom_ext_z", "kernel_lattice", "kunneth_tensor",
-    "parse_spec", "present_lattice", "presentation_kernel", "product_complex",
-    "quotient_by_ideal", "restriction_module", "run_pullback",
-    "smith_diagonal", "snf", "solve_exact", "tensor_over_ring", "tor",
-    "uct_dualize", "validate_block",
+    "BigradedTable", "CohomologyTable", "CollapseFailureError", "FgAbGroup",
+    "FpModule", "GcwBlock", "IntMatrix", "KTheoryResult", "LatticeModule",
+    "OracleMismatchError", "PointGroup", "PullbackSpec", "SnfDecomposition",
+    "SpecDocument", "SpecParseError", "TorsionObstructionError",
+    "ahss_collapse", "bredon_cochain_complex", "builtin_block",
+    "builtin_block_names", "cohomology_table", "compute_pullback_cohomology",
+    "determinant", "em_e2", "free_module", "full_report", "hom_ext_z",
+    "kernel_lattice", "kunneth_tensor", "parse_spec", "present_lattice",
+    "presentation_kernel", "product_complex", "quotient_by_ideal",
+    "restriction_module", "run_pullback", "smith_diagonal", "snf",
+    "solve_exact", "tensor_over_ring", "tor", "uct_dualize", "validate_block",
 ]

@@ -155,7 +155,7 @@ def _run_command(args) -> int:
 
     if args.command == "cohomology":
         run = run_pullback(spec)
-        _check_strict(run)
+        run.raise_first_failure()
         payload["cohomology"] = _table_json(run.final)
         payload["certificates"] = _certificates_json(run)
         lines.append("Bredon cohomology of the pullback:")
@@ -166,7 +166,7 @@ def _run_command(args) -> int:
 
     if args.command == "ktheory":
         report = full_report(spec)
-        _check_strict(report.run)
+        report.run.raise_first_failure()
         payload.update(_report_json(report))
         _render_report_human(report, lines)
         _emit(payload, lines, fmt, output)
@@ -179,7 +179,7 @@ def _run_command(args) -> int:
         if not run.folds:
             lines.append("  no folds (single block)")
         for rec in run.folds:
-            lines.append(f"  fold {rec.index} (+{rec.block_name}):")
+            lines.append(f"  {rec.label}:")
             if rec.e2 is None or not rec.e2.entries:
                 lines.append("    all entries zero")
                 continue
@@ -202,13 +202,6 @@ def _run_command(args) -> int:
         return EXIT_OK if ok else EXIT_COMPUTE
 
     raise AssertionError(f"unhandled command {args.command}")
-
-
-def _check_strict(run: PullbackRun) -> None:
-    """Enforce requested certificates for the computing commands."""
-    failures = run.failures()
-    if failures:
-        raise failures[0]
 
 
 def _report_json(report: FullReport) -> dict:
@@ -235,21 +228,19 @@ def _render_certificates_human(run: PullbackRun, lines: list) -> None:
     for rec in run.folds:
         if rec.e2 is not None:
             status = "ok" if rec.collapse_ok else "FAILED"
-            lines.append(f"  collapse at fold {rec.index} (+{rec.block_name}): "
-                         f"{status}")
+            lines.append(f"  collapse at {rec.label}: {status}")
             for p, q, g in rec.collapse_failures:
                 lines.append(f"    row p={p}, q={q}: {g}")
         if rec.oracle is not None:
-            status = "ok" if rec.oracle.ok else "FAILED"
-            lines.append(f"  oracle at fold {rec.index} (+{rec.block_name}): "
-                         f"{status}")
-            for d, t, c in rec.oracle.mismatches():
-                lines.append(f"    degree {d}: tensor {t} vs complex {c}")
+            _render_oracle_human("at", rec.oracle, lines)
     for cmp in run.pair_oracles:
-        status = "ok" if cmp.ok else "FAILED"
-        lines.append(f"  oracle for {cmp.label}: {status}")
-        for d, t, c in cmp.mismatches():
-            lines.append(f"    degree {d}: tensor {t} vs complex {c}")
+        _render_oracle_human("for", cmp, lines)
+
+
+def _render_oracle_human(preposition: str, cmp, lines: list) -> None:
+    lines.append(f"  oracle {preposition} {cmp.label}: "
+                 f"{'ok' if cmp.ok else 'FAILED'}")
+    lines.extend(f"    {line}" for line in cmp.mismatch_lines())
 
 
 def _render_report_human(report: FullReport, lines: list) -> None:

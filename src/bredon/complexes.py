@@ -1,17 +1,18 @@
-"""Cell blocks and their cochain complexes with representation coefficients.
+"""Cell blocks, which are their own cochain complexes, and cohomology.
 
 A block records the equivariant cell structure of one semidirect-product
 building space over the cyclic point group: per degree, a list of cell
 orbits each carrying the order of its isotropy group, plus the
-differentials.  The cochain module in degree d is the direct sum of one
+differentials.  A validated block is its cochain complex, from parse to
+cohomology.  The cochain module in degree d is the direct sum of one
 restriction module R(C_m) = R(C_n)/(eta^m - 1) per cell, whose underlying
 group is Z^m with coordinates 1, eta, ..., eta^(m-1).  The differentials
-are integer matrices in these freed coordinates, and cohomology is
-computed degreewise by exact integer linear algebra, together with the
-induced eta action on every torsion-free cohomology group.  Eta is never
-a matrix: it is the index map t -> t + 1 mod m on each cell.  Inline spec
-blocks give flat differentials, n coordinates per cell, which
-:func:`block_from_flat` folds once at parse.
+are the maps of the complex, integer matrices in these freed coordinates,
+and cohomology is computed degreewise by exact integer linear algebra,
+together with the induced eta action on every torsion-free cohomology
+group.  Eta is never a matrix: it is the index map t -> t + 1 mod m on
+each cell.  Inline spec blocks give flat differentials, n coordinates per
+cell, which :func:`block_from_flat` folds once at parse.
 
 Built-in catalog, written freed: an incidence c from cell v to cell e is
 c times the restriction eta^t -> eta^(t mod m_e) on the coordinates of v.
@@ -57,12 +58,14 @@ from .repring import (
 
 @dataclass(frozen=True)
 class GcwBlock:
-    """Equivariant cell data of one building block.
+    """Equivariant cell data of one building block, and its cochain complex.
 
     ``cells[d]`` lists the isotropy order of each degree-d cell orbit;
     ``differentials[d]`` is the freed matrix from the degree-d cochain
     module to degree d+1, of shape ``sum(cells[d+1]) x sum(cells[d])``: a
     cell of isotropy order m holds the coordinates 1, eta, ..., eta^(m-1).
+    The differentials are the maps of the cochain complex, and
+    :func:`bredon_cochain_complex` validates the block.
     """
 
     name: str
@@ -71,32 +74,13 @@ class GcwBlock:
     cells: tuple
     differentials: tuple
 
-
-class CochainComplex:
-    """The cochain complex of a block: one restriction module per cell.
-
-    Cochains live in freed coordinates: degree d is Z^(sum of the
-    isotropy orders of its cells), a cell of order m holding the
-    coordinates 1, eta, ..., eta^(m-1).  Its maps are the block's
-    differentials.  Build it through :func:`bredon_cochain_complex`,
-    which validates.
-    """
-
-    def __init__(self, block: GcwBlock):
-        self.block = block
-        self.point_group = block.point_group
-
     @property
     def modules(self) -> list:
         """The presented cochain modules, built on each access."""
-        return [block_module(self.block, d) for d in range(self.top + 1)]
-
-    @property
-    def top(self) -> int:
-        return self.block.dimension
+        return [block_module(self, d) for d in range(self.dimension + 1)]
 
     def flattened_ranks(self) -> list:
-        return [sum(orders) for orders in self.block.cells]
+        return [sum(orders) for orders in self.cells]
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * r for d, r in enumerate(self.flattened_ranks()))
@@ -196,12 +180,12 @@ def block_module(block: GcwBlock, degree: int) -> FpModule:
         [restriction_module(block.point_group, m) for m in orders])
 
 
-def bredon_cochain_complex(block: GcwBlock) -> CochainComplex:
-    """Assemble and validate the cochain complex of a block."""
+def bredon_cochain_complex(block: GcwBlock) -> GcwBlock:
+    """The block, validated: its cochain complex.  Raises ValueError."""
     report = validate_block(block)
     if not report.ok:
         raise ValueError("invalid block data: " + "; ".join(report.findings))
-    return CochainComplex(block)
+    return block
 
 
 @dataclass
@@ -338,8 +322,8 @@ def _fold(mat: IntMatrix, target_orders: Sequence[int], n: int) -> IntMatrix:
     return IntMatrix(len(rows), mat.cols, rows)
 
 
-def cohomology_table(C: CochainComplex) -> CohomologyTable:
-    """Cohomology of a cochain complex, with module structure where free.
+def cohomology_table(block: GcwBlock) -> CohomologyTable:
+    """Cohomology of a validated block, with module structure where free.
 
     Works in freed coordinates.  The cycles Z^d are a saturated kernel, so
     H^d is Z^(m - r_d - r_(d-1)) plus the torsion of the cokernel of the
@@ -347,34 +331,34 @@ def cohomology_table(C: CochainComplex) -> CohomologyTable:
     one Smith diagonal per map gives every group.  Only a free nonzero
     group needs transforms, for the eta action of its module.
     """
-    diagonals = [smith_diagonal(mat) for mat in C.block.differentials]
+    diagonals = [smith_diagonal(mat) for mat in block.differentials]
     # ranks[d] is the rank of the map out of degree d; the trailing 0
     # serves both the top degree and, as ranks[-1], degree 0
     ranks = [sum(1 for x in diag if x) for diag in diagonals] + [0]
     entries = {}
-    for d, rank in enumerate(C.flattened_ranks()):
+    for d, rank in enumerate(block.flattened_ranks()):
         incoming = diagonals[d - 1] if d > 0 else []
         group = FgAbGroup(rank - ranks[d] - ranks[d - 1],
                           tuple(x for x in incoming if x > 1))
         entries[d] = CohomologyEntry(
-            group, build=partial(_cohomology_module, C, d, group))
-    return CohomologyTable(C.point_group, entries)
+            group, build=partial(_cohomology_module, block, d, group))
+    return CohomologyTable(block.point_group, entries)
 
 
-def _cohomology_module(C: CochainComplex, d: int, group: FgAbGroup):
+def _cohomology_module(block: GcwBlock, d: int, group: FgAbGroup):
     """The module of H^d (None for torsion), built on its first read."""
     if group.is_trivial:
-        return FpModule(C.point_group, 0, ())
+        return FpModule(block.point_group, 0, ())
     if not group.is_free:
         return None
-    rank = sum(C.block.cells[d])
-    cycles = (kernel_lattice(C.block.differentials[d]) if d < C.top
+    rank = sum(block.cells[d])
+    maps = block.differentials
+    cycles = (kernel_lattice(maps[d]) if d < block.dimension
               else IntMatrix.identity(rank))
-    boundaries = (C.block.differentials[d - 1] if d > 0
-                  else IntMatrix.zeros(rank, 0))
+    boundaries = maps[d - 1] if d > 0 else IntMatrix.zeros(rank, 0)
     # eta moves row i of the cycle basis to row eta(i)
-    moved = sorted(zip(_eta_index(C.block.cells[d]), cycles.data))
+    moved = sorted(zip(_eta_index(block.cells[d]), cycles.data))
     image = IntMatrix(rank, cycles.cols, [row for _, row in moved])
     _, action = subquotient_with_action(cycles, boundaries, image)
     return present_lattice(
-        LatticeModule(C.point_group, group.free_rank, action))[0]
+        LatticeModule(block.point_group, group.free_rank, action))[0]

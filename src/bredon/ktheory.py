@@ -36,7 +36,6 @@ class KTheoryResult:
     k0: FgAbGroup
     k1: FgAbGroup
     collapsed: bool
-    assumptions: tuple = ()
 
 
 def ahss_collapse(H: CohomologyTable) -> KTheoryResult:
@@ -113,12 +112,8 @@ def full_report(spec: PullbackSpec) -> FullReport:
     run = run_pullback(spec)
     H = run.final
     kt = ahss_collapse(H)
-    kt = KTheoryResult(kt.k0, kt.k1, kt.collapsed,
-                       assumptions=(BAUM_CONNES_ASSUMPTION,))
     homology = uct_dualize(H)
     kh = homology_k_groups(homology)
-    kh = KTheoryResult(kh.k0, kh.k1, kh.collapsed,
-                       assumptions=(BAUM_CONNES_ASSUMPTION,))
     notes = []
     if not kt.collapsed:
         notes.append("odd-degree cohomology present: K-theory sums are "

@@ -21,7 +21,6 @@ from math import gcd
 from typing import Optional
 
 from .complexes import (
-    CochainComplex,
     CohomologyEntry,
     CohomologyTable,
     GcwBlock,
@@ -112,6 +111,20 @@ def _require_module(table: CohomologyTable, degree: int, side: str) -> FpModule:
     return module
 
 
+def _degree_pairs(HX: CohomologyTable, HY: CohomologyTable, what: str):
+    """Per total degree k, the module pairs (degree i of HX, degree j of
+    HY) over i + j = k whose groups are both nonzero.  Raises ValueError
+    on different point groups, and TorsionObstructionError where such a
+    group carries no module."""
+    if HX.point_group != HY.point_group:
+        raise ValueError(f"point group mismatch in {what}")
+    for k in range(HX.max_degree() + HY.max_degree() + 1):
+        yield k, [(_require_module(HX, i, "left"),
+                   _require_module(HY, k - i, "right"))
+                  for i in range(k + 1) if not HX.group(i).is_trivial
+                  and not HY.group(k - i).is_trivial]
+
+
 def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
     """Graded tensor of two cohomology tables over the representation ring.
 
@@ -121,27 +134,16 @@ def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
     it can be folded again.  Each sum carries its pieces' echelons and its
     group is the sum of their flattenings: each is Smith-reduced alone.
     """
-    if HX.point_group != HY.point_group:
-        raise ValueError("point group mismatch in tensor fold")
-    group = HX.point_group
-    top = HX.max_degree() + HY.max_degree()
     entries = {}
-    for k in range(top + 1):
-        pieces = []
-        for i in range(k + 1):
-            j = k - i
-            if HX.group(i).is_trivial or HY.group(j).is_trivial:
-                continue
-            MX = _require_module(HX, i, "left")
-            MY = _require_module(HY, j, "right")
-            pieces.append(tensor_over_ring(MX, MY))
+    for k, pairs in _degree_pairs(HX, HY, "tensor fold"):
+        pieces = [tensor_over_ring(MX, MY) for MX, MY in pairs]
         # pruned() gives the empty module its echelon, as every sum has
         module = (direct_sum_modules(pieces) if pieces
-                  else FpModule(group, 0, ()).pruned())
+                  else FpModule(HX.point_group, 0, ()).pruned())
         module._flatten = FgAbGroup.trivial().direct_sum(
             *(piece.flatten() for piece in pieces))
         entries[k] = CohomologyEntry(module._flatten, module)
-    return CohomologyTable(group, entries)
+    return CohomologyTable(HX.point_group, entries)
 
 
 def em_e2(HX: CohomologyTable, HY: CohomologyTable, p_max: int) -> BigradedTable:
@@ -156,31 +158,21 @@ def em_e2(HX: CohomologyTable, HY: CohomologyTable, p_max: int) -> BigradedTable
     complex in the left-hand module's Smith coordinates, every group read
     from one Smith diagonal per differential.
     """
-    if HX.point_group != HY.point_group:
-        raise ValueError("point group mismatch in derived page")
     entries = {}
-    top = HX.max_degree() + HY.max_degree()
-    for q in range(top + 1):
-        per_p = {p: [] for p in range(p_max + 1)}
-        for i in range(q + 1):
-            j = q - i
-            if HX.group(i).is_trivial or HY.group(j).is_trivial:
-                continue
-            MX = _require_module(HX, i, "left")
-            MY = _require_module(HY, j, "right")
-            groups = tor(MY, MX, p_max)
-            for p, g in enumerate(groups):
+    for q, pairs in _degree_pairs(HX, HY, "derived page"):
+        per_p = [[] for _ in range(p_max + 1)]
+        for MX, MY in pairs:
+            for p, g in enumerate(tor(MY, MX, p_max)):
                 per_p[p].append(g)
-        for p, parts in per_p.items():
-            if parts:
-                total = parts[0].direct_sum(*parts[1:])
-                if not total.is_trivial:
-                    entries[(p, q)] = total
+        for p, parts in enumerate(per_p):
+            total = FgAbGroup.trivial().direct_sum(*parts)
+            if not total.is_trivial:
+                entries[(p, q)] = total
     return BigradedTable(entries)
 
 
-def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
-    """The Eilenberg-Zilber product of two blocks, itself a block.
+def product_complex(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
+    """The Eilenberg-Zilber product of two blocks, itself a validated block.
 
     Degree-t cells are the pairs of a degree-i cell of X and a degree-j
     cell of Y with i + j = t, ordered by i, then the X cell, then the Y
@@ -191,7 +183,7 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
     x' (x) y, read mod eta^gcd(a', b) - 1.
     """
     if X.point_group != Y.point_group:
-        raise ValueError("point group mismatch in product block")
+        raise ValueError("point group mismatch in product complex")
     top = X.dimension + Y.dimension
     pairs = [[(i, x, a, t - i, y, b)
               for i in range(max(0, t - Y.dimension), min(X.dimension, t) + 1)
@@ -214,8 +206,8 @@ def product_block(X: GcwBlock, Y: GcwBlock) -> GcwBlock:
                     for e, s, c in (right[j][y] if j < Y.dimension else ())]
                  for i, x, _, j, y, _ in pairs[t]]
         differentials.append(_freed_map(cells[t], cells[t + 1], terms))
-    return GcwBlock(f"{X.name}*{Y.name}", X.point_group, top, cells,
-                    tuple(differentials))
+    return bredon_cochain_complex(GcwBlock(
+        f"{X.name}*{Y.name}", X.point_group, top, cells, tuple(differentials)))
 
 
 def reduce_block(block: GcwBlock) -> GcwBlock:
@@ -336,11 +328,6 @@ def _boundary_terms(block: GcwBlock, d: int) -> list:
             for k in firsts]
 
 
-def product_complex(CX: CochainComplex, CY: CochainComplex) -> CochainComplex:
-    """Cochain complex of the product of the blocks behind CX and CY."""
-    return bredon_cochain_complex(product_block(CX.block, CY.block))
-
-
 @dataclass
 class OracleComparison:
     """Degreewise comparison of a tensor table against complex cohomology."""
@@ -359,8 +346,9 @@ class OracleComparison:
         return ([g.free_rank for g in self.tensor_groups]
                 == [g.free_rank for g in self.complex_groups])
 
-    def mismatches(self) -> list:
-        return [(d, t, c) for d, t, c in
+    def mismatch_lines(self) -> list:
+        """One line per degree where the two sides differ."""
+        return [f"degree {d}: tensor {t} vs complex {c}" for d, t, c in
                 zip(self.degrees, self.tensor_groups, self.complex_groups)
                 if t != c]
 
@@ -387,6 +375,10 @@ class FoldRecord:
     oracle: Optional[OracleComparison] = None
 
     @property
+    def label(self) -> str:
+        return f"fold {self.index} (+{self.block_name})"
+
+    @property
     def collapse_ok(self) -> bool:
         return not self.collapse_failures
 
@@ -408,20 +400,24 @@ class PullbackRun:
             if record.collapse_failures:
                 p, q, g = record.collapse_failures[0]
                 out.append(CollapseFailureError(
-                    f"fold {record.index} (+{record.block_name}): collapse "
-                    f"certificate failed: derived row p={p} is nonzero at "
-                    f"q={q} with value {g}"))
+                    f"{record.label}: collapse certificate failed: derived "
+                    f"row p={p} is nonzero at q={q} with value {g}"))
             if record.oracle is not None and not record.oracle.ok:
                 out.append(_oracle_failure(record.oracle))
         out.extend(_oracle_failure(c) for c in self.pair_oracles if not c.ok)
         return out
 
+    def raise_first_failure(self) -> None:
+        """Raise the first of :meth:`failures`, if any."""
+        failures = self.failures()
+        if failures:
+            raise failures[0]
+
 
 def _oracle_failure(comparison: OracleComparison) -> OracleMismatchError:
-    d, t, c = comparison.mismatches()[0]
     return OracleMismatchError(
-        f"{comparison.label}: product-complex oracle failed in degree {d}: "
-        f"tensor {t} vs complex {c}")
+        f"{comparison.label}: product-complex oracle failed in "
+        f"{comparison.mismatch_lines()[0]}")
 
 
 def run_pullback(spec: PullbackSpec) -> PullbackRun:
@@ -430,42 +426,38 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
     Certificate failures are recorded, not raised; use
     :func:`compute_pullback_cohomology` for the strict contract.
     """
-    # one cochain complex and table per distinct block
-    built = {b: bredon_cochain_complex(b) for b in dict.fromkeys(spec.blocks)}
-    table_of = {b: cohomology_table(c) for b, c in built.items()}
-    complexes = [built[b] for b in spec.blocks]
+    # one validated block and table per distinct block
+    table_of = {b: cohomology_table(bredon_cochain_complex(b))
+                for b in dict.fromkeys(spec.blocks)}
     tables = [table_of[b] for b in spec.blocks]
 
     pairs = {}  # (X, Y) -> the tensor and product-complex tables of X, Y
     folds = []
     acc = tables[0]
-    acc_complex = complexes[0] if spec.full_product_oracle else None
-    for k in range(1, len(spec.blocks)):
-        record = FoldRecord(index=k, block_name=spec.blocks[k].name)
+    acc_block = spec.blocks[0] if spec.full_product_oracle else None
+    for k, block in enumerate(spec.blocks[1:], 1):
+        record = FoldRecord(index=k, block_name=block.name)
         if spec.tor_depth > 0:
             record.e2 = em_e2(acc, tables[k], spec.tor_depth)
             record.collapse_failures = record.e2.rows_above_zero()
         acc = kunneth_tensor(acc, tables[k])
-        if acc_complex is not None:
+        if acc_block is not None:
             # reduced between folds: the groups of this and every later
             # product stay the same (see reduce_block)
-            acc_complex = bredon_cochain_complex(reduce_block(
-                product_complex(acc_complex, complexes[k]).block))
-            product = cohomology_table(acc_complex)
+            acc_block = bredon_cochain_complex(
+                reduce_block(product_complex(acc_block, block)))
+            product = cohomology_table(acc_block)
             if k == 1:
-                pairs[spec.blocks[0], spec.blocks[1]] = acc, product
-            record.oracle = _compare_tables(
-                f"fold {k} (+{spec.blocks[k].name})", acc, product)
+                pairs[spec.blocks[0], block] = acc, product
+            record.oracle = _compare_tables(record.label, acc, product)
         folds.append(record)
 
     pair_oracles = []
     if spec.oracle_check:
-        for k in range(len(spec.blocks) - 1):
-            key = spec.blocks[k], spec.blocks[k + 1]
+        for k, key in enumerate(zip(spec.blocks, spec.blocks[1:])):
             if key not in pairs:
                 pairs[key] = (kunneth_tensor(tables[k], tables[k + 1]),
-                              cohomology_table(product_complex(
-                                  complexes[k], complexes[k + 1])))
+                              cohomology_table(product_complex(*key)))
             pair_oracles.append(_compare_tables(
                 f"pair ({key[0].name}, {key[1].name})", *pairs[key]))
 
@@ -479,7 +471,5 @@ def compute_pullback_cohomology(spec: PullbackSpec) -> CohomologyTable:
     naming the offending fold when a requested check does not hold.
     """
     run = run_pullback(spec)
-    failures = run.failures()
-    if failures:
-        raise failures[0]
+    run.raise_first_failure()
     return run.final

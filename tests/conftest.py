@@ -149,7 +149,7 @@ def _flat_tensor_right(matrix, ngens, n, sign):
 def flat_product(X, Y, n=4):
     """The flat Eilenberg-Zilber product of two flat blocks (cells, maps).
 
-    The reference for ``product_block``: every tensor map is assembled in
+    The reference for ``product_complex``: every tensor map is assembled in
     n coordinates per pair cell, so folding the result through
     ``block_from_flat`` must give the freed product.
     """

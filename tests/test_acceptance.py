@@ -227,7 +227,7 @@ def test_criterion_6_oracle_equivalence():
     run = run_pullback(spec)
     for record in run.folds:
         crit.check_true(
-            f"fold {record.index} (+{record.block_name}) oracle equality",
+            f"{record.label} oracle equality",
             record.oracle is not None and record.oracle.ok)
     # the single accumulated 4-fold product complex
     acc = bredon_cochain_complex(spec.blocks[0])
@@ -250,7 +250,7 @@ def test_criterion_7_collapse_certificates():
         rows = {(p, q): str(g) for p, q, g in record.collapse_failures}
         expected = {pq: str(g)
                     for pq, g in COLLAPSE_ROWS[record.index].items()}
-        crit.check(f"fold {record.index} (+{record.block_name}) rows p>=1",
+        crit.check(f"{record.label} rows p>=1",
                    rows, expected, published={})
     crit.finish()
 
@@ -293,8 +293,8 @@ def test_criterion_8_property_suites():
         product_complex(products["line*line"], complexes["plane-i"]),
         complexes["plane-i"])
     for label, cx in {**complexes, **products}.items():
-        maps = cx.block.differentials
-        actions = [freed_action(orders) for orders in cx.block.cells]
+        maps = cx.differentials
+        actions = [freed_action(orders) for orders in cx.cells]
         equivariant = all(mat * actions[d] == actions[d + 1] * mat
                           for d, mat in enumerate(maps))
         d_squared = all((b * a).is_zero() for a, b in zip(maps, maps[1:]))

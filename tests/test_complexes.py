@@ -25,7 +25,7 @@ from bredon.intlinalg import (
     smith_diagonal,
     subquotient_with_action,
 )
-from bredon.pullback import product_block
+from bredon.pullback import product_complex
 from bredon.repring import (
     FpModule,
     LatticeModule,
@@ -208,7 +208,7 @@ class TestValidateBlock:
             return validate_block(block)
         monkeypatch.setattr(bredon.complexes, "validate_block", recording)
         block = builtin_block("plane-i")
-        bredon_cochain_complex(block)
+        assert bredon_cochain_complex(block) is block
         assert seen == [block]
 
 
@@ -234,7 +234,7 @@ def test_freed_differential_is_transported(blocks):
     # The freed block is the flat literal, or the flat Eilenberg-Zilber
     # product of the literals, folded; and each freed map is P * d * S for
     # the closed-form coordinates of its source and target degrees.
-    block = reduce(product_block, map(builtin_block, blocks))
+    block = reduce(product_complex, map(builtin_block, blocks))
     cells, flat = reduce(flat_product, map(flat_block, blocks))
     assert block == block_from_flat(block.name, block.point_group, cells, flat)
     coords = [closed_free_coordinates(orders, 4) for orders in cells]
@@ -248,7 +248,7 @@ def test_freed_action_is_transported_shift(blocks):
     # closed-form coordinates.  The Smith-based reference (P, S) picks a
     # different basis of the same Z^rank, so the two actions agree after
     # the unimodular change of coordinates W = P * S_closed.
-    block = reduce(product_block, [builtin_block(name) for name in blocks])
+    block = reduce(product_complex, [builtin_block(name) for name in blocks])
     n = block.point_group.order
     for d, orders in enumerate(block.cells):
         module = block_module(block, d)
@@ -276,15 +276,15 @@ def reference_table(complex_):
     """
     out = {}
     for d, rank in enumerate(complex_.flattened_ranks()):
-        if d < complex_.top:
-            cycles = kernel_lattice(complex_.block.differentials[d])
+        if d < complex_.dimension:
+            cycles = kernel_lattice(complex_.differentials[d])
         else:
             cycles = IntMatrix.identity(rank)
-        boundaries = (complex_.block.differentials[d - 1] if d > 0
+        boundaries = (complex_.differentials[d - 1] if d > 0
                       else IntMatrix.zeros(rank, 0))
         group, action = subquotient_with_action(
             cycles, boundaries,
-            freed_action(complex_.block.cells[d]) * cycles)
+            freed_action(complex_.cells[d]) * cycles)
         module = None
         if group.is_trivial:
             module = FpModule(complex_.point_group, 0, ())
@@ -347,7 +347,7 @@ def reference_block(name):
     built inside the test that asks for it, so a fault fails that test."""
     if name in HAND_BLOCKS:
         return HAND_BLOCKS[name]()
-    return reduce(product_block, map(builtin_block, name.split("*")))
+    return reduce(product_complex, map(builtin_block, name.split("*")))
 
 
 @pytest.mark.parametrize("name", reference_names())
@@ -369,7 +369,7 @@ def test_hand_blocks_cover_torsion_and_boundaries():
     assert torsion.group(1) == FgAbGroup(0, (2, 2))
     assert torsion.module(1) is None
     boundary_complex = bredon_cochain_complex(boundary_block())
-    assert not boundary_complex.block.differentials[0].is_zero()
+    assert not boundary_complex.differentials[0].is_zero()
     boundary = cohomology_table(boundary_complex)
     assert [boundary.group(d) for d in range(3)] == [
         FgAbGroup.trivial(), FgAbGroup.free(2), FgAbGroup.trivial()]

@@ -37,7 +37,6 @@ from bredon.pullback import (
     compute_pullback_cohomology,
     em_e2,
     kunneth_tensor,
-    product_block,
     product_complex,
     reduce_block,
     run_pullback,
@@ -71,7 +70,7 @@ def character_euler(complex_):
     from conftest import free_coordinates, shift_matrix
 
     plus = minus = gauss = 0
-    for d in range(complex_.top + 1):
+    for d in range(complex_.dimension + 1):
         module = complex_.modules[d]
         P, S, rank = free_coordinates(module)
         if rank == 0:
@@ -117,7 +116,7 @@ class TestProductComplex:
 
     def test_d_squared_validated(self, line_complex, plane_complex):
         pc = product_complex(line_complex, plane_complex)
-        assert validate_block(pc.block).ok
+        assert validate_block(pc).ok
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,7 +134,7 @@ class TestProductBlock:
         # tensor of the factor modules, and the product must be a valid block
         for a, b in itertools.product(builtin_block_names(), repeat=2):
             X, Y = builtin_block(a), builtin_block(b)
-            P = product_block(X, Y)
+            P = product_complex(X, Y)
             assert validate_block(P).ok
             for t in range(P.dimension + 1):
                 pieces = [tensor_over_ring(block_module(X, i),
@@ -168,10 +167,11 @@ CATALOG_SEQUENCES = [names for n in (2, 3, 4) for names
 
 @functools.lru_cache(maxsize=None)
 def unreduced(names):
-    """The product block of the named blocks, never reduced."""
+    """The product of the named blocks, never reduced."""
     if len(names) == 1:
         return builtin_block(names[0])
-    return product_block(unreduced(names[:-1]), builtin_block(names[-1]))
+    return product_complex(unreduced(names[:-1]),
+                           builtin_block(names[-1]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,7 +180,7 @@ def reduced(names):
     does it."""
     if len(names) == 1:
         return builtin_block(names[0])
-    return reduce_block(product_block(reduced(names[:-1]),
+    return reduce_block(product_complex(reduced(names[:-1]),
                                       builtin_block(names[-1])))
 
 
@@ -192,7 +192,8 @@ def groups(block):
 class TestReduceBlock:
     @pytest.mark.parametrize("names", CATALOG_SEQUENCES, ids="*".join)
     def test_fold_keeps_every_group(self, names):
-        product = product_block(reduced(names[:-1]), builtin_block(names[-1]))
+        product = product_complex(reduced(names[:-1]),
+                                  builtin_block(names[-1]))
         block = reduce_block(product)
         assert validate_block(block).ok
         assert block.dimension == product.dimension
