@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
 
 from .complexes import builtin_block, builtin_block_names, builtin_block_summary
 from .intlinalg import FgAbGroup
@@ -101,7 +100,7 @@ def _render_table_human(table, lines: list) -> None:
         lines.append(f"  H^{d} = {table.group(d)}")
 
 
-def _emit(payload: dict, human_lines: list, fmt: str, output: Optional[str]) -> None:
+def _emit(payload: dict, human_lines: list, fmt: str, output: str | None) -> None:
     if fmt == "machine":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -126,6 +125,8 @@ def _load_document(path: str) -> SpecDocument:
             text = handle.read()
     except OSError as exc:
         raise SpecFileError(f"cannot read spec file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"not valid UTF-8: {exc}", "$")
     return parse_spec(text)
 
 

@@ -34,14 +34,14 @@ c times the restriction eta^t -> eta^(t mod m_e) on the coordinates of v.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import partial
 from itertools import compress
-from typing import Optional, Sequence
 
 from .intlinalg import (
     FgAbGroup,
     IntMatrix,
+    _Value,
     kernel_lattice,
     smith_diagonal,
     subquotient_with_action,
@@ -56,8 +56,7 @@ from .repring import (
 )
 
 
-@dataclass(frozen=True)
-class GcwBlock:
+class GcwBlock(_Value):
     """Equivariant cell data of one building block, and its cochain complex.
 
     ``cells[d]`` lists the isotropy order of each degree-d cell orbit;
@@ -68,11 +67,12 @@ class GcwBlock:
     :func:`bredon_cochain_complex` validates the block.
     """
 
-    name: str
-    point_group: PointGroup
-    dimension: int
-    cells: tuple
-    differentials: tuple
+    __slots__ = ("name", "point_group", "dimension", "cells", "differentials")
+
+    def __init__(self, name: str, point_group: PointGroup, dimension: int,
+                 cells: tuple, differentials: tuple):
+        self.name, self.point_group, self.dimension = name, point_group, dimension
+        self.cells, self.differentials = cells, differentials
 
     @property
     def modules(self) -> list:
@@ -94,7 +94,7 @@ class CohomologyEntry:
         self.group, self._module, self._build = group, module, build
 
     @property
-    def module(self) -> Optional[FpModule]:
+    def module(self) -> FpModule | None:
         if self._build is not None:
             self._module, self._build = self._build(), None
         return self._module
@@ -119,7 +119,7 @@ class CohomologyTable:
         entry = self.entries.get(degree)
         return entry.group if entry else FgAbGroup.trivial()
 
-    def module(self, degree: int) -> Optional[FpModule]:
+    def module(self, degree: int) -> FpModule | None:
         entry = self.entries.get(degree)
         return entry.module if entry else None
 
@@ -188,12 +188,14 @@ def bredon_cochain_complex(block: GcwBlock) -> GcwBlock:
     return block
 
 
-@dataclass
 class BlockReport:
     """Findings of a block validation run; empty findings means a clean block."""
 
-    block_name: str
-    findings: list = field(default_factory=list)
+    __slots__ = ("block_name", "findings")
+
+    def __init__(self, block_name: str, findings: list | None = None):
+        self.block_name = block_name
+        self.findings = [] if findings is None else findings
 
     @property
     def ok(self) -> bool:

@@ -11,11 +11,32 @@ these primitives.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import compress, groupby
 from math import gcd
-from typing import Iterable, Optional, Sequence
+
+
+class _Value:
+    """Equality, hashing and repr read off ``__slots__``, for small
+    immutable value types whose instances are equal field by field."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")")
 
 
 class IntMatrix:
@@ -137,17 +158,17 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols})"
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(_Value):
     """Smith normal form U*A*V = D with U, V unimodular and D diagonal.
 
     Diagonal entries are nonnegative, each divides the next nonzero one,
     and zero entries trail.
     """
 
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: IntMatrix, D: IntMatrix, V: IntMatrix):
+        self.U, self.D, self.V = U, D, V
 
     def diagonal(self) -> list:
         k = min(self.D.rows, self.D.cols)
@@ -503,7 +524,7 @@ class LinearSolver:
         self._steps = [(i, h[k][i], _sparse(h[k]), _sparse(v[k]))
                        for k, i in enumerate(pivots)]
 
-    def solve(self, b: Sequence[int]) -> Optional[list]:
+    def solve(self, b: Sequence[int]) -> list | None:
         if len(b) != self.A.rows:
             raise ValueError("vector length mismatch")
         rest = list(b)
@@ -521,7 +542,7 @@ class LinearSolver:
             return None
         return x
 
-    def solve_matrix(self, B: IntMatrix) -> Optional[IntMatrix]:
+    def solve_matrix(self, B: IntMatrix) -> IntMatrix | None:
         cols = []
         for col in B.columns():
             x = self.solve(col)
@@ -531,7 +552,7 @@ class LinearSolver:
         return IntMatrix.from_columns(self.A.cols, cols)
 
 
-def solve_exact(A: IntMatrix, b: Sequence[int]) -> Optional[list]:
+def solve_exact(A: IntMatrix, b: Sequence[int]) -> list | None:
     """Some integer solution of A x = b, or None when none exists."""
     x = LinearSolver(A).solve(b)
     if x is not None:
@@ -541,8 +562,7 @@ def solve_exact(A: IntMatrix, b: Sequence[int]) -> Optional[list]:
     return x
 
 
-@dataclass(frozen=True)
-class FgAbGroup:
+class FgAbGroup(_Value):
     """A finitely generated abelian group in canonical form.
 
     ``invariant_factors`` is the ascending divisibility chain of torsion
@@ -553,14 +573,14 @@ class FgAbGroup:
     Z^2 ⊕ Z/2 ⊕ Z/4
     """
 
-    free_rank: int
-    invariant_factors: tuple = ()
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
+    def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        self.free_rank = free_rank
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        facs = tuple(int(d) for d in self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", facs)
+        facs = tuple(int(d) for d in invariant_factors)
+        self.invariant_factors = facs
         for d in facs:
             if d < 2:
                 raise ValueError("invariant factors must be >= 2")

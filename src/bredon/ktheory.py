@@ -12,9 +12,8 @@ cited assumption and never computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from .complexes import CohomologyTable
-from .intlinalg import FgAbGroup, hom_ext_z
+from .intlinalg import FgAbGroup, _Value, hom_ext_z
 from .pullback import PullbackRun, PullbackSpec, run_pullback
 
 BAUM_CONNES_ASSUMPTION = (
@@ -25,17 +24,17 @@ BAUM_CONNES_ASSUMPTION = (
 )
 
 
-@dataclass(frozen=True)
-class KTheoryResult:
+class KTheoryResult(_Value):
     """Equivariant K-theory in degrees 0 and 1.
 
     When ``collapsed`` is false the sums are only upper bounds read off
     the second page, never asserted as the actual K-groups.
     """
 
-    k0: FgAbGroup
-    k1: FgAbGroup
-    collapsed: bool
+    __slots__ = ("k0", "k1", "collapsed")
+
+    def __init__(self, k0: FgAbGroup, k1: FgAbGroup, collapsed: bool):
+        self.k0, self.k1, self.collapsed = k0, k1, collapsed
 
 
 def ahss_collapse(H: CohomologyTable) -> KTheoryResult:
@@ -84,7 +83,6 @@ def homology_k_groups(homology: dict) -> KTheoryResult:
     return KTheoryResult(k0, k1, collapsed=collapsed)
 
 
-@dataclass
 class FullReport:
     """The end-to-end result of a pullback run.
 
@@ -93,14 +91,17 @@ class FullReport:
     identifies K-homology with the K-theory of the reduced C*-algebra.
     """
 
-    spec: PullbackSpec
-    run: PullbackRun
-    cohomology: CohomologyTable
-    k_theory: KTheoryResult
-    homology: dict
-    k_homology: KTheoryResult
-    assumptions: tuple
-    notes: list = field(default_factory=list)
+    __slots__ = ("spec", "run", "cohomology", "k_theory", "homology",
+                 "k_homology", "assumptions", "notes")
+
+    def __init__(self, spec: PullbackSpec, run: PullbackRun,
+                 cohomology: CohomologyTable, k_theory: KTheoryResult,
+                 homology: dict, k_homology: KTheoryResult, assumptions: tuple,
+                 notes: list | None = None):
+        self.spec, self.run, self.cohomology = spec, run, cohomology
+        self.k_theory, self.k_homology = k_theory, k_homology
+        self.homology, self.assumptions = homology, assumptions
+        self.notes = [] if notes is None else notes
 
 
 def full_report(spec: PullbackSpec) -> FullReport:

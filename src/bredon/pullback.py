@@ -15,10 +15,8 @@ held and what did not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, compress
 from math import gcd
-from typing import Optional
 
 from .complexes import (
     CohomologyEntry,
@@ -27,7 +25,7 @@ from .complexes import (
     bredon_cochain_complex,
     cohomology_table,
 )
-from .intlinalg import FgAbGroup, IntMatrix
+from .intlinalg import FgAbGroup, IntMatrix, _Value
 from .repring import (
     FpModule,
     PointGroup,
@@ -56,17 +54,18 @@ class CollapseFailureError(PullbackError):
     """A derived-functor row above degree zero is nonzero."""
 
 
-@dataclass(frozen=True)
-class PullbackSpec:
+class PullbackSpec(_Value):
     """An iterated pullback: ordered blocks over one cyclic point group."""
 
-    point_group: PointGroup
-    blocks: tuple
-    oracle_check: bool = False
-    full_product_oracle: bool = False
-    tor_depth: int = 0
+    __slots__ = ("point_group", "blocks", "oracle_check", "full_product_oracle",
+                 "tor_depth")
 
-    def __post_init__(self):
+    def __init__(self, point_group: PointGroup, blocks: tuple,
+                 oracle_check: bool = False, full_product_oracle: bool = False,
+                 tor_depth: int = 0):
+        self.point_group, self.blocks = point_group, blocks
+        self.oracle_check, self.tor_depth = oracle_check, tor_depth
+        self.full_product_oracle = full_product_oracle
         if not self.blocks:
             raise ValueError("at least one block is required")
         for b in self.blocks:
@@ -328,14 +327,15 @@ def _boundary_terms(block: GcwBlock, d: int) -> list:
             for k in firsts]
 
 
-@dataclass
 class OracleComparison:
     """Degreewise comparison of a tensor table against complex cohomology."""
 
-    label: str
-    degrees: list
-    tensor_groups: list
-    complex_groups: list
+    __slots__ = ("label", "degrees", "tensor_groups", "complex_groups")
+
+    def __init__(self, label: str, degrees: list, tensor_groups: list,
+                 complex_groups: list):
+        self.label, self.degrees = label, degrees
+        self.tensor_groups, self.complex_groups = tensor_groups, complex_groups
 
     @property
     def ok(self) -> bool:
@@ -364,15 +364,19 @@ def _compare_tables(label: str, tensor_table: CohomologyTable,
     )
 
 
-@dataclass
 class FoldRecord:
     """What happened at one fold: the joined block and its certificates."""
 
-    index: int
-    block_name: str
-    e2: Optional[BigradedTable] = None
-    collapse_failures: list = field(default_factory=list)
-    oracle: Optional[OracleComparison] = None
+    __slots__ = ("index", "block_name", "e2", "collapse_failures", "oracle")
+
+    def __init__(self, index: int, block_name: str,
+                 e2: BigradedTable | None = None,
+                 collapse_failures: list | None = None,
+                 oracle: OracleComparison | None = None):
+        self.index, self.block_name, self.e2 = index, block_name, e2
+        self.collapse_failures = ([] if collapse_failures is None
+                                  else collapse_failures)
+        self.oracle = oracle
 
     @property
     def label(self) -> str:
@@ -383,15 +387,15 @@ class FoldRecord:
         return not self.collapse_failures
 
 
-@dataclass
 class PullbackRun:
     """Everything computed during one pipeline run."""
 
-    spec: PullbackSpec
-    block_tables: list
-    final: CohomologyTable
-    folds: list
-    pair_oracles: list
+    __slots__ = ("spec", "block_tables", "final", "folds", "pair_oracles")
+
+    def __init__(self, spec: PullbackSpec, block_tables: list,
+                 final: CohomologyTable, folds: list, pair_oracles: list):
+        self.spec, self.block_tables, self.final = spec, block_tables, final
+        self.folds, self.pair_oracles = folds, pair_oracles
 
     def failures(self) -> list:
         """One error per failed certificate: folds in order, then pairs."""

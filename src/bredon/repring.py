@@ -17,27 +17,27 @@ consume presentations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .intlinalg import (
     FgAbGroup,
     IntMatrix,
     LinearSolver,
     RowEchelonLattice,
+    _Value,
     kernel_lattice,
     smith_diagonal,
     smith_with_inverse,
 )
 
 
-@dataclass(frozen=True)
-class PointGroup:
+class PointGroup(_Value):
     """The finite cyclic group C_n acting as common quotient of all blocks."""
 
-    order: int
+    __slots__ = ("order",)
 
-    def __post_init__(self):
+    def __init__(self, order: int):
+        self.order = order
         if self.order < 1:
             raise ValueError("point group order must be >= 1")
 
@@ -270,15 +270,13 @@ def _eta_orbit(vec: Sequence[int], n: int):
         yield vec
 
 
-@dataclass(frozen=True)
-class LatticeModule:
+class LatticeModule(_Value):
     """A Z-torsion-free module as a lattice with an automorphism of finite order."""
 
-    group: PointGroup
-    rank: int
-    action: IntMatrix
+    __slots__ = ("group", "rank", "action")
 
-    def __post_init__(self):
+    def __init__(self, group: PointGroup, rank: int, action: IntMatrix):
+        self.group, self.rank, self.action = group, rank, action
         if self.action.rows != self.rank or self.action.cols != self.rank:
             raise ValueError("action must be a square matrix of the given rank")
         power = IntMatrix.identity(self.rank)

@@ -33,13 +33,11 @@ differentials are geometric input and are never inferred.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from math import prod
-from typing import Optional
 
 from .complexes import GcwBlock, block_from_flat, builtin_block, builtin_block_names
 from .intlinalg import IntMatrix
-from .pullback import PullbackSpec
+from .pullback import MAX_TOR_DEPTH, PullbackSpec
 from .repring import PointGroup
 
 FORMATS = ("human", "machine")
@@ -56,29 +54,32 @@ class SpecParseError(Exception):
         self.reason = message
 
 
-@dataclass
 class SpecOptions:
-    oracle: bool = False
-    full_product_oracle: bool = False
-    tor_depth: int = 0
-    format: str = "human"
-    output: Optional[str] = None
+    __slots__ = ("oracle", "full_product_oracle", "tor_depth", "format", "output")
+
+    def __init__(self, oracle: bool = False, full_product_oracle: bool = False,
+                 tor_depth: int = 0, format: str = "human",
+                 output: str | None = None):
+        self.oracle, self.full_product_oracle = oracle, full_product_oracle
+        self.tor_depth, self.format, self.output = tor_depth, format, output
 
 
-@dataclass
 class SpecDocument:
     """A validated specification, ready to convert into a pipeline run."""
 
-    point_group: PointGroup
-    blocks: list
-    options: SpecOptions = field(default_factory=SpecOptions)
+    __slots__ = ("point_group", "blocks", "options")
+
+    def __init__(self, point_group: PointGroup, blocks: list,
+                 options: SpecOptions | None = None):
+        self.point_group, self.blocks = point_group, blocks
+        self.options = SpecOptions() if options is None else options
 
     def block_names(self) -> list:
         return [b.name for b in self.blocks]
 
-    def to_pullback_spec(self, oracle: Optional[bool] = None,
-                         full_product_oracle: Optional[bool] = None,
-                         tor_depth: Optional[int] = None) -> PullbackSpec:
+    def to_pullback_spec(self, oracle: bool | None = None,
+                         full_product_oracle: bool | None = None,
+                         tor_depth: int | None = None) -> PullbackSpec:
         """Build the engine spec; keyword arguments override file options."""
         return PullbackSpec(
             self.point_group,
@@ -160,6 +161,8 @@ def parse_spec(text: str) -> SpecDocument:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"not valid JSON: {exc}", "$")
+    except RecursionError:
+        raise SpecParseError("not valid JSON: nesting too deep", "$")
     _expect(isinstance(doc, dict), "top level must be an object", "$")
 
     order = doc.get("point_group_order")
@@ -209,6 +212,9 @@ def parse_spec(text: str) -> SpecDocument:
     if "tor_depth" in opt_obj:
         _expect(_is_int(opt_obj["tor_depth"]) and opt_obj["tor_depth"] >= 0,
                 "'tor_depth' must be a nonnegative integer", "$.options.tor_depth")
+        _expect(opt_obj["tor_depth"] <= MAX_TOR_DEPTH,
+                f"'tor_depth' exceeds the limit MAX_TOR_DEPTH = {MAX_TOR_DEPTH}",
+                "$.options.tor_depth")
         options.tor_depth = opt_obj["tor_depth"]
     if "format" in opt_obj:
         _expect(opt_obj["format"] in FORMATS,

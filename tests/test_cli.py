@@ -354,6 +354,18 @@ class TestSpecLimits:
         assert main(argv) == 2
         assert "MAX_TOR_DEPTH = 8" in capsys.readouterr().err
 
+    def test_tor_depth_over_limit_is_a_located_parse_error(self, spec_file,
+                                                          capsys):
+        text = fixed_point_spec(4, tor_depth=MAX_TOR_DEPTH + 1)
+        with pytest.raises(SpecParseError) as info:
+            parse_spec(text)
+        assert info.value.location == "$.options.tor_depth"
+        # refused at parse, even where a flag would override the file
+        assert main(["e2", spec_file(text), "--tor-depth", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error (parse): $.options.tor_depth: 'tor_depth' exceeds the "
+            f"limit MAX_TOR_DEPTH = {MAX_TOR_DEPTH}\n")
+
     def test_product_cells_within_limit(self):
         # the flagship, Z^8 and Z^10 (the 6-block spec) are all admitted
         for planes, cells in ((2, 324), (3, 1944), (4, 11664)):
@@ -388,3 +400,31 @@ def test_answer_does_not_depend_on_block_order(spec_file, capsys):
         path = spec_file(json.dumps({"point_group_order": 4,
                                      "blocks": list(order)}))
         assert report(path) == expected, order
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+def test_deeply_nested_spec_is_a_parse_error(fmt, spec_file, capsys):
+    text = "[" * 200_000 + "]" * 200_000
+    with pytest.raises(SpecParseError) as info:
+        parse_spec(text)
+    assert (info.value.location, info.value.reason) == (
+        "$", "not valid JSON: nesting too deep")
+    assert main(["ktheory", spec_file(text), "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    message = "$: not valid JSON: nesting too deep"
+    if fmt == "machine":
+        assert json.loads(err) == {"error": {"kind": "parse",
+                                             "message": message}}
+    else:
+        assert err == f"error (parse): {message}\n"
+
+
+def test_spec_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(POINT_SPEC.replace("point", "p\xf6int")
+                     .encode("latin-1"))
+    assert main(["ktheory", str(path), "--format", "machine"]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "parse"
+    assert error["message"].startswith("$: not valid UTF-8: 'utf-8' codec "
+                                       "can't decode byte 0xf6")

@@ -194,11 +194,11 @@ class TestFgAbGroup:
         assert FgAbGroup(1, (2,)) != FgAbGroup(1, (4,))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be >= 2"):
             FgAbGroup(0, (1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must form a divisibility chain"):
             FgAbGroup(0, (4, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="negative free rank"):
             FgAbGroup(-1)
 
     def test_direct_sum_recanonicalizes(self):

@@ -321,8 +321,14 @@ class TestPresentLattice:
             assert W * induced == L.action * W
 
     def test_wrong_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^action order does not divide "
+                                             "the point group order$"):
             LatticeModule(PG4, 1, IntMatrix.from_rows([[2]]))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="^action must be a square "
+                                             "matrix of the given rank$"):
+            LatticeModule(PG4, 3, IntMatrix.from_rows([[0, -1], [1, 0]]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
