@@ -15,6 +15,7 @@ held and what did not.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import accumulate, compress
 from math import gcd
 
@@ -124,7 +125,8 @@ def _degree_pairs(HX: CohomologyTable, HY: CohomologyTable, what: str):
                   and not HY.group(k - i).is_trivial]
 
 
-def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
+def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable,
+                   page: BigradedTable | None = None) -> CohomologyTable:
     """Graded tensor of two cohomology tables over the representation ring.
 
     Every degree-k entry is the direct sum over i + j = k of the tensor
@@ -132,26 +134,48 @@ def kunneth_tensor(HX: CohomologyTable, HY: CohomologyTable) -> CohomologyTable:
     module structure on all nonzero entries; the output keeps modules so
     it can be folded again.  Each sum carries its pieces' echelons and its
     group is the sum of their flattenings: each is Smith-reduced alone.
+
+    Given ``page``, the :func:`em_e2` page of the same two tables, the
+    group of degree k is its row 0, ``page.entry(0, k)``, since
+    Tor_0(M, N) = M tensor N; the tensor pieces and their sum are then
+    built only when the entry's module is first read, and nothing is
+    Smith-reduced.
     """
     entries = {}
     for k, pairs in _degree_pairs(HX, HY, "tensor fold"):
-        pieces = [tensor_over_ring(MX, MY) for MX, MY in pairs]
-        # pruned() gives the empty module its echelon, as every sum has
-        module = (direct_sum_modules(pieces) if pieces
-                  else FpModule(HX.point_group, 0, ()).pruned())
-        module._flatten = FgAbGroup.trivial().direct_sum(
-            *(piece.flatten() for piece in pieces))
-        entries[k] = CohomologyEntry(module._flatten, module)
+        if page is None:
+            module = _tensor_sum(HX.point_group, pairs, None)
+            entries[k] = CohomologyEntry(module._flatten, module)
+        else:
+            group = page.entry(0, k)
+            entries[k] = CohomologyEntry(
+                group, build=partial(_tensor_sum, HX.point_group, pairs, group))
     return CohomologyTable(HX.point_group, entries)
+
+
+def _tensor_sum(group: PointGroup, pairs: list,
+                flat: FgAbGroup | None) -> FpModule:
+    """The direct sum of the tensor products of ``pairs``, its flattening
+    ``flat``, or the sum of the pieces' flattenings when that is None."""
+    pieces = [tensor_over_ring(MX, MY) for MX, MY in pairs]
+    # pruned() gives the empty module its echelon, as every sum has
+    module = (direct_sum_modules(pieces) if pieces
+              else FpModule(group, 0, ()).pruned())
+    if flat is None:
+        flat = FgAbGroup.trivial().direct_sum(
+            *(piece.flatten() for piece in pieces))
+    module._flatten = flat
+    return module
 
 
 def em_e2(HX: CohomologyTable, HY: CohomologyTable, p_max: int) -> BigradedTable:
     """The derived-functor page of the pair of tables.
 
     Entry (p, q) is the direct sum over i + j = q of the p-th derived
-    tensor of the degree-i and degree-j entries.  The p = 0 row coincides
-    with :func:`kunneth_tensor` degreewise; vanishing of the rows p >= 1
-    is the computed collapse certificate.  Each derived tensor is
+    tensor of the degree-i and degree-j entries.  The p = 0 row is
+    Tor_0 = tensor, and in a fold it is the fold's group: given this page,
+    :func:`kunneth_tensor` reads its groups here.  Vanishing of the rows
+    p >= 1 is the computed collapse certificate.  Each derived tensor is
     computed by :func:`tor` from a free resolution of the right-hand
     module, which in a fold is the small per-block one, as one free total
     complex in the left-hand module's Smith coordinates, every group read
@@ -444,7 +468,7 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
         if spec.tor_depth > 0:
             record.e2 = em_e2(acc, tables[k], spec.tor_depth)
             record.collapse_failures = record.e2.rows_above_zero()
-        acc = kunneth_tensor(acc, tables[k])
+        acc = kunneth_tensor(acc, tables[k], record.e2)
         if acc_block is not None:
             # reduced between folds: the groups of this and every later
             # product stay the same (see reduce_block)

@@ -18,6 +18,7 @@ consume presentations.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress
 
 from .intlinalg import (
     FgAbGroup,
@@ -114,26 +115,19 @@ class FpModule:
     def smith_coordinates(self):
         """The module as Z^c modulo diagonal relations: ``(orders, powers)``.
 
-        A Smith form U L V = D of the relation lattice L splits the
-        flattening into summands Z/d_i; the c with d_i != 1 are kept, and
-        ``orders`` lists their d_i (0 for Z).  ``powers[u]`` is the c x c
-        matrix pi P^u sigma of eta^u: pi the kept rows of U, sigma the kept
-        columns of U^-1, P the flat eta shift.  Cached on the module.
+        ``orders`` lists the c orders d_i != 1 of the summands Z/d_i of the
+        flattening (0 for Z), and ``powers[u]`` is the c x c matrix
+        pi P^u sigma of eta^u, for P the flat eta shift and pi, sigma the
+        maps of :func:`_smith_basis`.  Cached on the module.
         """
         if self._coords is None:
-            dim = self.flat_dim
-            diag, U, Uinv = smith_with_inverse(self.relation_columns())
-            diag += [0] * (dim - len(diag))
-            keep = [i for i, d in enumerate(diag) if d != 1]
-            pi = IntMatrix(len(keep), dim, [U.data[i] for i in keep])
-            sigma = IntMatrix(dim, len(keep),
-                              [[row[i] for i in keep] for row in Uinv.data])
+            orders, pi, sigma = _smith_basis(self)
             powers = []
             for _ in range(self.group.order):
                 powers.append(pi * sigma)
-                sigma = IntMatrix(dim, sigma.cols,
+                sigma = IntMatrix(sigma.rows, sigma.cols,
                                   _shift_vector(sigma.data, self.group.order))
-            self._coords = (tuple(diag[i] for i in keep), powers)
+            self._coords = (orders, powers)
         return self._coords
 
     def pruned(self) -> "FpModule":
@@ -157,6 +151,54 @@ class FpModule:
                else FpModule(self.group, self.ngens, kept))
         out._rel_lattice = span
         return out
+
+
+def _smith_basis(M: FpModule):
+    """``(orders, pi, sigma)``: Smith coordinates of M's flattening.
+
+    Each echelon row of :meth:`FpModule.relation_lattice` whose pivot is
+    +-1 eliminates its pivot coordinate: back-substitution from the last
+    pivot gives phi, the map onto the other (kept) coordinates that sends
+    each such row to 0, so that Z^dim / L = Z^kept / phi(R) with R the
+    rows of other pivots.  A Smith form U phi(R) V = D of that residual
+    keeps the c coordinates with d_i != 1, whose d_i are ``orders``:
+    ``pi`` (c x dim) is their rows of U composed with phi, and ``sigma``
+    (dim x c) their columns of U^-1 on the kept coordinates, so that
+    pi sigma = I and pi maps L into the span of D.
+    """
+    dim = M.flat_dim
+    lattice = M.relation_lattice()
+    units = {p: row for row, p in zip(lattice.rows, lattice.pivots)
+             if row[p] in (1, -1)}
+    kept = [j for j in range(dim) if j not in units]
+    # phi[j]: e_j modulo the unit rows, sparse over the kept coordinates
+    phi = [None] * dim
+    for k, j in enumerate(kept):
+        phi[j] = {k: 1}
+    for p in sorted(units, reverse=True):
+        row, image = units[p], {}
+        for j in compress(range(p + 1, dim), row[p + 1:]):
+            c = -row[p] * row[j]  # e_p = -(+-1) sum_(j > p) row[j] e_j
+            for k, x in phi[j].items():
+                image[k] = image.get(k, 0) + c * x
+        phi[p] = {k: x for k, x in image.items() if x}
+    rows = [[0] * dim for _ in kept]  # phi as a kept x dim matrix
+    for j, column in enumerate(phi):
+        for k, x in column.items():
+            rows[k][j] = x
+    phi = IntMatrix(len(kept), dim, rows)
+    residual = phi * IntMatrix.from_columns(
+        dim, [row for row, p in zip(lattice.rows, lattice.pivots)
+              if p not in units])
+    diag, U, Uinv = smith_with_inverse(residual)
+    diag += [0] * (len(kept) - len(diag))
+    keep = [i for i, d in enumerate(diag) if d != 1]
+    pi = IntMatrix(len(keep), len(kept), [U.data[i] for i in keep]) * phi
+    sigma = [[0] * len(keep) for _ in range(dim)]
+    for j, row in zip(kept, Uinv.data):
+        sigma[j] = [row[i] for i in keep]
+    return (tuple(diag[i] for i in keep), pi,
+            IntMatrix(dim, len(keep), sigma))
 
 
 def free_module(group: PointGroup, k: int) -> FpModule:
@@ -434,7 +476,8 @@ def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     of F tensor N (the mapping cone of D).  One Smith diagonal per d_p
     gives every group, as in :func:`cohomology_table`:
     Tor_p = Z^(dim T_p - r_p - r_(p+1)) plus the torsion of d_(p+1).
-    Degree 0 always agrees with the flattening of the tensor product.
+    Degree 0 is the flattening of the tensor product, which is why a fold
+    under a derived page takes its groups from it.
     """
     if M.group != N.group:
         raise ValueError("point group mismatch in Tor")

@@ -366,6 +366,42 @@ class TestDerivedPage:
         assert page.entry(1, 0) == FgAbGroup(0, (2, 2, 4, 4))
 
 
+@functools.lru_cache(maxsize=None)
+def folded(names):
+    """The table of the named catalog blocks, each fold's groups read off
+    its derived page as run_pullback does it."""
+    table = cohomology_table(builtin_block(names[-1]))
+    if len(names) == 1:
+        return table
+    acc = folded(names[:-1])
+    return kunneth_tensor(acc, table, em_e2(acc, table, 1))
+
+
+class TestFoldFromPage:
+    @pytest.mark.parametrize("names", CATALOG_SEQUENCES, ids="*".join)
+    def test_page_fold_equals_the_eager_fold(self, names):
+        acc = folded(names[:-1])
+        table = cohomology_table(builtin_block(names[-1]))
+        lazy = kunneth_tensor(acc, table, em_e2(acc, table, 1))
+        eager = kunneth_tensor(acc, table)
+        assert lazy.degrees() == eager.degrees()
+        assert [lazy.group(k) for k in lazy.degrees()] == [
+            eager.group(k) for k in eager.degrees()]
+        for k in lazy.degrees():
+            assert lazy.entries[k]._build is not None  # unbuilt until read
+            module = lazy.module(k)
+            assert module == eager.module(k)
+            assert module.flatten() == eager.module(k).flatten()
+
+    def test_last_fold_is_never_built(self, pg4, line_block, plane_block):
+        run = run_pullback(PullbackSpec(
+            pg4, (line_block, line_block, plane_block, plane_block),
+            tor_depth=2))
+        assert all(entry._build is not None
+                   for entry in run.final.entries.values())
+        assert run.final.group(0) == VW_TABLE[0]
+
+
 class TestPipeline:
     def test_single_line(self, pg4, line_block):
         table = compute_pullback_cohomology(PullbackSpec(pg4, (line_block,)))

@@ -5,18 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import flat_block, shift_matrix, small_modules
-from bredon.complexes import _commutes_with_eta, block_module
+from bredon.complexes import (
+    _commutes_with_eta,
+    block_module,
+    builtin_block,
+    cohomology_table,
+)
 from bredon.intlinalg import (
     FgAbGroup,
     IntMatrix,
     RowEchelonLattice,
-    smith_with_inverse,
 )
 from bredon.repring import (
     FpModule,
     LatticeModule,
     PointGroup,
     _divide_rows,
+    _smith_basis,
     direct_sum_modules,
     free_module,
     present_lattice,
@@ -472,6 +477,8 @@ class TestTor:
 
 def mixed_modules():
     """Modules whose flattenings mix Z, Z/2 and Z/4."""
+    line, plane = (cohomology_table(builtin_block(name)).module(0)
+                   for name in ("line-minus", "plane-i"))
     def cyclic(rel):
         return FpModule(PG4, 1, [rel])
     twisted = cyclic([-2, 2, 0, 0])   # R/(2(eta - 1)): Z + (Z/2)^3
@@ -485,6 +492,10 @@ def mixed_modules():
         "coupled": FpModule(PG4, 2, [[1, 1, 0, 0, 0, 0, 2, 0]]),
         "res2": restriction_module(PG4, 2),
         "gauss": present_lattice(rotation_module())[0],
+        # the flagship's fold-2 degree-0 module, (line-minus H^0)^2 tensor
+        # plane-i H^0: Z^20 + (Z/2)^3, its echelon 25 pivots +-1 and 3
+        # pivots -2
+        "fold2": tensor_over_ring(tensor_over_ring(line, line), plane),
     }
 
 
@@ -517,21 +528,32 @@ class TestSmithCoordinates:
 
     @pytest.mark.parametrize("name", sorted(mixed_modules()))
     def test_powers_are_the_transported_shift(self, name):
-        # powers[u] is pi P^u sigma exactly, for pi and sigma the kept rows
-        # of U and columns of U^-1.  (E_1)^u differs from it only by
+        # powers[u] is pi P^u sigma exactly, for the pi and sigma built
+        # from the relation echelon.  (E_1)^u differs from it only by
         # relations, so no Tor group could tell them apart.
         M = mixed_modules()[name]
-        diag, U, Uinv = smith_with_inverse(M.relation_columns())
-        diag += [0] * (M.flat_dim - len(diag))
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        pi = IntMatrix(len(keep), M.flat_dim, [U.data[i] for i in keep])
-        sigma = IntMatrix(M.flat_dim, len(keep),
-                          [[row[i] for i in keep] for row in Uinv.data])
+        orders, pi, sigma = _smith_basis(M)
+        assert orders == M.smith_coordinates()[0]
+        assert pi * sigma == IntMatrix.identity(len(orders))
+        # pi maps every relation into the span of the columns d_i e_i
+        images = pi * IntMatrix.from_columns(M.flat_dim, M.relation_rows())
+        assert all(x % d == 0 if d else x == 0
+                   for d, row in zip(orders, images.data) for x in row)
         P = shift_matrix(M)
-        shifted = sigma
         for power in M.smith_coordinates()[1]:
-            assert power == pi * shifted
-            shifted = P * shifted
+            assert power == pi * sigma
+            sigma = P * sigma
+
+    def test_echelon_units_leave_a_residual(self):
+        # the fold-2 module runs both halves: the +-1 pivots eliminate
+        # their coordinates, and the -2 pivots go to the Smith form
+        M = mixed_modules()["fold2"]
+        pivots = [row[p] for row, p in zip(M.relation_lattice().rows,
+                                           M.relation_lattice().pivots)]
+        assert sorted(map(abs, pivots)) == [1] * 25 + [2] * 3
+        orders, pi, sigma = _smith_basis(M)
+        assert sorted(orders) == [0] * 20 + [2] * 3
+        assert (pi.rows, pi.cols, sigma.rows) == (23, 48, 48)
 
     def test_flattening_with_mixed_orders(self):
         mods = mixed_modules()

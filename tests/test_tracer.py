@@ -62,3 +62,11 @@ def test_verify_run_records_the_product_counters(tmp_path):
     # products, and of the blocks whose cohomology is taken
     assert metrics["pullback.product_complex.flat_dim"] == 168
     assert metrics["complexes.cohomology.flat_dim"] == 84
+    # each fold's groups are row 0 of its derived page, and its modules
+    # are built when the next fold reads them: the folds tensor 1 + 2
+    # pairs of modules (the last fold's 4 never), the pairs (line-minus,
+    # plane-i) and (plane-i, plane-i) 2 + 4.  Only those 6 pieces are
+    # flattened, beside the 12 presentations that present_lattice checks
+    assert metrics["repring.tensor.calls"] == 1 + 2 + 2 + 4
+    assert metrics["repring.flatten.calls"] == 6 + 12
+    assert metrics["intlinalg.smith.calls"] == 68
