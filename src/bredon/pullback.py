@@ -459,7 +459,7 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
                 for b in dict.fromkeys(spec.blocks)}
     tables = [table_of[b] for b in spec.blocks]
 
-    pairs = {}  # (X, Y) -> the tensor and product-complex tables of X, Y
+    tensors, products = {}, {}  # of a pair (X, Y) of blocks
     folds = []
     acc = tables[0]
     acc_block = spec.blocks[0] if spec.full_product_oracle else None
@@ -469,6 +469,8 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
             record.e2 = em_e2(acc, tables[k], spec.tor_depth)
             record.collapse_failures = record.e2.rows_above_zero()
         acc = kunneth_tensor(acc, tables[k], record.e2)
+        if k == 1 and spec.oracle_check:  # the first pair's tensor
+            tensors[spec.blocks[0], block] = acc
         if acc_block is not None:
             # reduced between folds: the groups of this and every later
             # product stay the same (see reduce_block)
@@ -476,18 +478,20 @@ def run_pullback(spec: PullbackSpec) -> PullbackRun:
                 reduce_block(product_complex(acc_block, block)))
             product = cohomology_table(acc_block)
             if k == 1:
-                pairs[spec.blocks[0], block] = acc, product
+                products[spec.blocks[0], block] = product
             record.oracle = _compare_tables(record.label, acc, product)
         folds.append(record)
 
     pair_oracles = []
     if spec.oracle_check:
         for k, key in enumerate(zip(spec.blocks, spec.blocks[1:])):
-            if key not in pairs:
-                pairs[key] = (kunneth_tensor(tables[k], tables[k + 1]),
-                              cohomology_table(product_complex(*key)))
+            if key not in tensors:
+                tensors[key] = kunneth_tensor(tables[k], tables[k + 1])
+            if key not in products:
+                products[key] = cohomology_table(product_complex(*key))
             pair_oracles.append(_compare_tables(
-                f"pair ({key[0].name}, {key[1].name})", *pairs[key]))
+                f"pair ({key[0].name}, {key[1].name})", tensors[key],
+                products[key]))
 
     return PullbackRun(spec, tables, acc, folds, pair_oracles)
 

@@ -331,24 +331,33 @@ class LatticeModule(_Value):
 def present_lattice(L: LatticeModule):
     """Present a lattice-with-automorphism as an FpModule.
 
-    Generators are chosen greedily from the standard basis, skipping
-    vectors already in the ring span of earlier choices.  Candidates are
-    tried in order of the Z-rank of their eta-orbit, largest first, ties
-    by lowest index, which keeps the presentation small.
-    Relations are a generating set of the kernel of the evaluation map:
-    a basis of its kernel lattice, thinned by :meth:`FpModule.pruned`.
+    Generators are those of :func:`_ring_generators`.  Relations are a
+    generating set of the kernel of the evaluation map: a basis of its
+    kernel lattice, thinned by :meth:`FpModule.pruned`.
     Returns ``(module, evaluation)`` where ``evaluation`` sends flattened
     module generators onto Z^rank and intertwines eta with the action.
     """
     group = L.group
-    n = group.order
-    r = L.rank
-    if r == 0:
+    if L.rank == 0:
         return FpModule(group, 0, ()), IntMatrix.zeros(0, 0)
+    evaluation = _ring_generators(group, L.action)
+    module = FpModule(group, evaluation.cols // group.order,
+                      kernel_lattice(evaluation).columns()).pruned()
+    flat = module.flatten()
+    if not flat.is_free or flat.free_rank != L.rank:
+        raise AssertionError("lattice presentation failed to reproduce the rank")
+    return module, evaluation
 
+
+def _ring_generators(group: PointGroup, action: IntMatrix) -> IntMatrix:
+    """Evaluation map of greedy ring generators of Z^r under ``action``:
+    standard basis vectors by the Z-rank of their eta-orbit, largest first,
+    ties by lowest index, each skipped if already in the ring span of
+    earlier choices, which keeps the presentation small."""
+    n, r = group.order, action.rows
     powers = [IntMatrix.identity(r)]
     for _ in range(n - 1):
-        powers.append(L.action * powers[-1])
+        powers.append(action * powers[-1])
 
     def orbit_rank(j: int) -> int:
         orbit = RowEchelonLattice(r)
@@ -366,15 +375,26 @@ def present_lattice(L: LatticeModule):
         for power in powers:
             columns.append(power.column(j))
             span.add(columns[-1])
-    s = len(columns) // n
-    evaluation = IntMatrix.from_columns(r, columns)
+    return IntMatrix.from_columns(r, columns)
 
-    module = FpModule(group, s, kernel_lattice(evaluation).columns()).pruned()
 
-    flat = module.flatten()
-    if not flat.is_free or flat.free_rank != r:
-        raise AssertionError("lattice presentation failed to reproduce the rank")
-    return module, evaluation
+def _kernel_with_action(matrix: IntMatrix, target: FpModule):
+    """Echelon basis columns of the kernel lattice of a map out of a free
+    module (that of ``[matrix | relations]``, projected onto the source),
+    and the matrix of eta on them, or None if there are none."""
+    relations = target.relation_columns()
+    stacked = matrix.hstack(relations) if relations.cols else matrix
+    span = RowEchelonLattice(matrix.cols)
+    for col in kernel_lattice(stacked).columns():
+        span.add(col[:matrix.cols])
+    basis = span.basis_columns_matrix(matrix.cols)
+    if basis.cols == 0:
+        return basis, None
+    shifted = LinearSolver(basis).solve_matrix(IntMatrix(
+        basis.rows, basis.cols, _shift_vector(basis.data, target.group.order)))
+    if shifted is None:
+        raise AssertionError("kernel lattice is not shift-stable")
+    return basis, shifted
 
 
 def presentation_kernel(matrix: IntMatrix, target: FpModule):
@@ -382,27 +402,17 @@ def presentation_kernel(matrix: IntMatrix, target: FpModule):
 
     ``matrix`` is the flat matrix of an eta-equivariant map from the free
     module on ``matrix.cols // n`` generators to ``target``.  The kernel
-    lattice (that of ``[matrix | relations]``, projected onto the source)
-    is presented with its eta action by :func:`present_lattice`.  Returns
-    ``(K, inclusion)`` where the flat matrix ``inclusion`` sends K into
-    the source and composes with ``matrix`` to zero modulo the target
-    relations.
+    lattice of :func:`_kernel_with_action` is presented with its eta
+    action by :func:`present_lattice`.  Returns ``(K, inclusion)`` where
+    the flat matrix ``inclusion`` sends K into the source and composes
+    with ``matrix`` to zero modulo the target relations.  Tor presents no
+    kernel (see :func:`free_resolution_maps`).
     """
-    group = target.group
-    relations = target.relation_columns()
-    stacked = matrix.hstack(relations) if relations.cols else matrix
-    span = RowEchelonLattice(matrix.cols)
-    for col in kernel_lattice(stacked).columns():
-        span.add(col[:matrix.cols])
-    basis = span.basis_columns_matrix(matrix.cols)
-    d = basis.cols
-    if d == 0:
-        return FpModule(group, 0, ()), basis
-    shifted = LinearSolver(basis).solve_matrix(
-        IntMatrix(basis.rows, d, _shift_vector(basis.data, group.order)))
+    basis, shifted = _kernel_with_action(matrix, target)
     if shifted is None:
-        raise AssertionError("kernel lattice is not shift-stable")
-    K, evaluation = present_lattice(LatticeModule(group, d, shifted))
+        return FpModule(target.group, 0, ()), basis
+    K, evaluation = present_lattice(
+        LatticeModule(target.group, basis.cols, shifted))
     return K, basis * evaluation
 
 
@@ -410,16 +420,22 @@ def free_resolution_maps(M: FpModule, length: int) -> list:
     """Flat matrices of a partial free resolution of M.
 
     Entry 0 is the cover of M by the free module on its generators (the
-    identity); entry p >= 1 is the matrix of F_p -> F_(p-1).  Each F_p is
-    free on ``matrix.cols // n`` generators.  The list holds ``length + 1``
-    matrices, enough to read off Tor up to degree ``length``.  The
+    identity), entry 1 the relation matrix out of the free module on the
+    relations, and entry p > 1 ``basis * evaluation``: the kernel lattice
+    of entry p - 1 (:func:`_kernel_with_action`) times its greedy ring
+    generators (:func:`_ring_generators`), so no syzygy is presented.
+    Each F_p is free on ``matrix.cols // n`` generators.  The list holds
+    ``length + 1`` matrices, enough for Tor up to degree ``length``.  The
     resolution is cached on M and only ever extended.
     """
-    maps = M._resolution or [IntMatrix.identity(M.flat_dim)]
+    maps = M._resolution or [
+        IntMatrix.identity(M.flat_dim),
+        IntMatrix.from_columns(M.flat_dim, M.relation_rows())]
     while len(maps) <= length:
-        target = (M if len(maps) == 1 else
-                  free_module(M.group, maps[-2].cols // M.group.order))
-        maps.append(presentation_kernel(maps[-1], target)[1])
+        basis, shifted = _kernel_with_action(maps[-1], free_module(
+            M.group, maps[-1].rows // M.group.order))
+        maps.append(basis if shifted is None
+                    else basis * _ring_generators(M.group, shifted))
     M._resolution = maps
     return maps[:length + 1]
 
@@ -465,7 +481,7 @@ def _divide_rows(rows, orders: Sequence[int]) -> list:
 def tor(M: FpModule, N: FpModule, p_max: int = 2) -> list:
     """Tor_p(M, N) over R(C_n) for p = 0 .. p_max.
 
-    Builds a partial free resolution F of M by iterated syzygies and works
+    Resolves M from its relations (:func:`free_resolution_maps`) and works
     in N's Smith coordinates (see :meth:`FpModule.smith_coordinates`):
     F_p tensor N is Z^(k_p) / D_p, with D_p injecting Z^(t_p) as the
     columns d_i e_i of the coordinates of nonzero order.  With A_p the

@@ -527,6 +527,25 @@ class TestCertificateWork:
         assert plain > 0
         assert len(calls) == plain
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_first_pair_reads_the_first_fold(
+            self, monkeypatch, pg4, line_block, plane_block, full):
+        import bredon.pullback
+
+        calls = self.count_calls(monkeypatch, bredon.pullback,
+                                 "kunneth_tensor")
+        blocks = (line_block, line_block, plane_block, plane_block)
+        run = run_pullback(PullbackSpec(pg4, blocks, tor_depth=2,
+                                        oracle_check=True,
+                                        full_product_oracle=full))
+        # three paged folds, then the tensors of the pairs (line-minus,
+        # plane-i) and (plane-i, plane-i); fold 1 is the first pair's
+        assert len(calls) == 3 + 2
+        assert [len(args) for args in calls] == [3, 3, 3, 2, 2]
+        eager = kunneth_tensor(run.block_tables[0], run.block_tables[1])
+        first = run.pair_oracles[0]
+        assert first.tensor_groups == [eager.group(d) for d in first.degrees]
+
     def test_fold_echelons_no_direct_sum_from_scratch(
             self, monkeypatch, pg4, line_block, plane_block):
         added = []  # the lattice of every add call, kept alive for id()

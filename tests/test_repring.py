@@ -1,5 +1,7 @@
 """Modules over R(C_n): flat relation rows, presentations, syzygies, Tor."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +11,14 @@ from bredon.complexes import (
     _commutes_with_eta,
     block_module,
     builtin_block,
+    builtin_block_names,
     cohomology_table,
 )
 from bredon.intlinalg import (
     FgAbGroup,
     IntMatrix,
     RowEchelonLattice,
+    kernel_lattice,
 )
 from bredon.repring import (
     FpModule,
@@ -24,6 +28,7 @@ from bredon.repring import (
     _smith_basis,
     direct_sum_modules,
     free_module,
+    free_resolution_maps,
     present_lattice,
     presentation_kernel,
     quotient_by_ideal,
@@ -625,3 +630,79 @@ def test_gcd_steps_keep_relation_entries_small():
                for x in row) < 16 * 9520
     assert tor(M, N, 0) == [tensor_over_ring(M, N).flatten()]
     assert tor(M, N, 0) == [FgAbGroup.cyclic(17)]
+
+
+def growth_cases():
+    """Modules over C_4 whose re-presented syzygies grew to hundreds of
+    bits, each with N = R/(n) and Tor_0..2(M, N): ``(M, N, groups)``."""
+    def case(relations, n, groups):
+        return (FpModule(PG4, 2, relations), FpModule(PG4, 1, [n]), groups)
+    z17, z2 = FgAbGroup.cyclic(17), FgAbGroup(0, (2, 2, 2))
+    zero = FgAbGroup.trivial()
+    return {
+        "z17": case([[-3, 1, 2, 2, -3, 2, -3, 0],
+                     [-3, -2, -3, 2, -3, -2, 0, -3]],
+                    [-2, -1, -1, 3], [z17, z17, zero]),
+        "z2": case([[3, 0, -2, 1, -1, -3, -1, 3],
+                    [-2, 3, -1, 2, -2, -3, 0, -3]],
+                   [0, 0, 0, -2], [z2, z2, zero]),
+        "zero": case([[2, 0, -2, -2, 2, -3, 2, -1],
+                      [-3, 1, 2, -3, -3, 3, -3, 1]],
+                     [2, 1, -1, 1], [zero, zero, zero]),
+    }
+
+
+def resolution_modules():
+    """Catalog block modules and their cohomology, the mixed modules and
+    the growth cases."""
+    mods = {}
+    for name in builtin_block_names():
+        block = builtin_block(name)
+        table = cohomology_table(block)
+        for d in range(block.dimension + 1):
+            mods[f"{name}-C{d}"] = block_module(block, d)
+            if table.entries[d].module is not None:
+                mods[f"{name}-H{d}"] = table.entries[d].module
+    mods.update(mixed_modules())
+    mods.update((name, M) for name, (M, _, _) in growth_cases().items())
+    return mods
+
+
+def same_span(vectors, others, dim):
+    """Whether two lists of vectors span the same lattice in Z^dim."""
+    spans = []
+    for vecs in (vectors, others):
+        span = RowEchelonLattice(dim)
+        for vec in vecs:
+            span.add(vec)
+        spans.append(span)
+    return all(span.contains(vec) for span, vecs
+               in zip(spans, (others, vectors)) for vec in vecs)
+
+
+class TestFreeResolution:
+    @pytest.mark.parametrize("name", sorted(resolution_modules()))
+    def test_relations_then_kernels(self, name):
+        M = resolution_modules()[name]
+        n = M.group.order
+        maps = free_resolution_maps(M, 4)
+        # F_1 is free on the relations, and maps onto their lattice
+        assert maps[1].cols == n * len(M.relations)
+        assert same_span(maps[1].columns(), M.relation_lattice().rows,
+                         M.flat_dim)
+        for p in range(1, 4):
+            A, B = maps[p], maps[p + 1]
+            assert B.rows == A.cols and B.cols % n == 0
+            assert (A * B).is_zero()
+            assert same_span(B.columns(), kernel_lattice(A).columns(), A.cols)
+
+    @pytest.mark.parametrize("name", sorted(growth_cases()))
+    def test_growth_cases_stay_small(self, name):
+        # presenting every syzygy takes seconds on these, with entries of
+        # up to 470 bits; their relations are Z-independent, so F_2 = 0
+        M, N, groups = growth_cases()[name]
+        start = time.perf_counter()
+        assert tor(M, N, 2) == groups
+        assert time.perf_counter() - start < 1
+        maps = free_resolution_maps(M, 3)
+        assert [A.cols // 4 for A in maps[1:]] == [2, 0, 0]

@@ -66,7 +66,40 @@ def test_verify_run_records_the_product_counters(tmp_path):
     # are built when the next fold reads them: the folds tensor 1 + 2
     # pairs of modules (the last fold's 4 never), the pairs (line-minus,
     # plane-i) and (plane-i, plane-i) 2 + 4.  Only those 6 pieces are
-    # flattened, beside the 12 presentations that present_lattice checks
+    # flattened, beside the 3 block modules that present_lattice checks
     assert metrics["repring.tensor.calls"] == 1 + 2 + 2 + 4
-    assert metrics["repring.flatten.calls"] == 6 + 12
-    assert metrics["intlinalg.smith.calls"] == 68
+    assert metrics["repring.flatten.calls"] == 6 + 3
+    assert metrics["intlinalg.smith.calls"] == 59
+    # Tor resolves from the relations, one kernel per syzygy, and
+    # presents no syzygy module
+    assert metrics["repring.presentation_kernel.calls"] == 0
+    assert metrics["repring.present_lattice.calls"] == 3
+    assert metrics["intlinalg.kernel.calls"] == 11
+
+
+def test_ktheory_run_counts_are_pinned(tmp_path):
+    # the vw-ktheory operation: three eager folds and no Tor.  A change
+    # on its path moves one of these counts
+    workload = WORKLOADS["vw-ktheory"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(spec_text(FLAGSHIP), encoding="utf-8")
+    output = tmp_path / "out.json"
+    tracer = Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        code = bredon.cli.main(workload.argv(str(spec), str(output)))
+    finally:
+        tracer.uninstall()
+    report = json.loads(output.read_text(encoding="utf-8"))
+    assert workload.check(code, report) == []
+
+    metrics = op_metrics(tracer, 0)
+    assert len(tracer.spans) == 132
+    assert metrics["intlinalg.smith.calls"] == 16
+    assert metrics["repring.tensor.calls"] == 7
+    assert metrics["repring.flatten.calls"] == 10
+    assert metrics["repring.present_lattice.calls"] == 3
+    assert metrics["intlinalg.kernel.calls"] == 5
+    assert metrics["intlinalg.subquotient.calls"] == 3
+    assert metrics["intlinalg.solve.columns"] == 17
